@@ -4,20 +4,22 @@
 // payloads: A.ping -> [bridge] -> B.echo -> [bridge] -> A.pong. Round
 // trips run in pipelined batches (kBatch in flight) so reader threads stay
 // hot and the per-message cost reflects the wire path, not scheduler
-// wake-ups. Per payload size (32..1024 B) the bench reports p50/p99 for
-// the shipped fast path and for the pre-change wire emulation
-// (BridgeOptions::legacy_wire_path — fresh buffers, header-string copies,
-// payload copied before decode) in the same run.
+// wake-ups. Per payload size (32..1024 B) the bench reports p50/p90/p99
+// for the bridge's pooled fast path. Wire-level rungs follow: the
+// co-located shm wire against same-run TCP, a zero-copy receive payload
+// sweep, a two-band interference rung, and an shm->TCP failover drill.
 //
 // The binary is also a correctness gate (run by the `remote_bench` tool
 // target, and in --smoke form by ctest):
-//   * steady-state allocations per message == 0 on the fast path (counted
-//     by a global operator new override),
-//   * syscalls per frame < 1 under a TCP send burst (the coalescing
-//     writer's scatter-gather batching),
-//   * p50 at 32 B at least 15% better than the legacy wire (full runs
-//     only; skipped under --smoke and sanitizers, where timing is noise).
-// Results land in BENCH_remote.json.
+//   * Gate 1: steady-state allocations per message == 0 on the fast path
+//     (counted by a global operator new override),
+//   * Gate 2: syscalls per frame < 1 under a TCP send burst (the
+//     coalescing writer's scatter-gather batching),
+//   * Gates 4-8 and 10: shm upgrade, 0 allocs and < 1 futex per round
+//     trip, >= 5x over TCP, exactly-once failover, rx_copies == 0, and
+//     two-band isolation (see the gate block at the end of main).
+// Timing gates run on full plain builds only; under --smoke and
+// sanitizers timing is noise. Results land in BENCH_remote.json.
 #include "common.hpp"
 
 #include "cdr/giop.hpp"
@@ -95,16 +97,14 @@ core::InPortConfig sync_port() {
 /// A.ping -> bridge -> B (echo) -> bridge -> A.pong over one loopback wire.
 class EchoHarness {
 public:
-    explicit EchoHarness(bool legacy) {
+    EchoHarness() {
         core::register_builtin_message_types();
         remote::register_builtin_serializers();
         auto [wire_a, wire_b] = net::make_loopback_pair(256);
-        remote::BridgeOptions options;
-        options.legacy_wire_path = legacy;
         bridge_a_ = std::make_unique<remote::RemoteBridge>(
-            app_a_, std::move(wire_a), "rr-a", options);
+            app_a_, std::move(wire_a), "rr-a");
         bridge_b_ = std::make_unique<remote::RemoteBridge>(
-            app_b_, std::move(wire_b), "rr-b", options);
+            app_b_, std::move(wire_b), "rr-b");
 
         auto& pinger = app_a_.create_immortal<core::Component>("Pinger");
         ping_out_ = &pinger.add_out_port<core::OctetSeq>("out", "OctetSeq");
@@ -140,7 +140,7 @@ public:
         // The bench overwrites every message field it reads (length is the
         // knob, payload bytes are never inspected), so the pools' release
         // scrub — a 4 KiB object write per message — would only measure
-        // itself. Applies to both harnesses equally.
+        // itself.
         ping_out_->pool()->set_scrub_on_release(false);
         echo_out_->pool()->set_scrub_on_release(false);
     }
@@ -184,16 +184,6 @@ struct RungResult {
     double allocs_per_message = 0.0; ///< steady-state, all threads
 };
 
-struct PairResult {
-    RungResult fast;
-    RungResult legacy;
-    /// Median over batches of the per-batch improvement (each fast batch
-    /// paired with the legacy batch that ran right after it). Robust to
-    /// drift: a slow scheduling window inflates both halves of a pair, so
-    /// the pair's ratio survives where a ratio of global medians would not.
-    double paired_improvement_pct = 0.0;
-};
-
 /// One pipelined batch of round trips; returns per-message nanoseconds.
 std::int64_t run_batch(EchoHarness& h, std::size_t payload,
                        std::uint64_t& done) {
@@ -208,43 +198,26 @@ std::int64_t run_batch(EchoHarness& h, std::size_t payload,
            static_cast<std::int64_t>(kBatch);
 }
 
-/// Alternate fast- and legacy-path batches within the same time window so
-/// scheduler and frequency drift hit both variants equally — the p50
-/// comparison would otherwise be noise. The allocation counter is read
-/// around each fast segment only (the legacy harness is idle meanwhile),
-/// so legacy's intentional allocations stay out of the zero-alloc gate.
-PairResult run_pair(EchoHarness& h_fast, EchoHarness& h_legacy,
-                    std::size_t payload, std::size_t iters,
+/// One payload rung on the fast path. The allocation counter is read
+/// around each batch, so only the round trips themselves are counted.
+RungResult run_rung(EchoHarness& h, std::size_t payload, std::size_t iters,
                     std::size_t warmup) {
-    rt::StatsRecorder rec_fast(iters);
-    rt::StatsRecorder rec_legacy(iters);
-    rt::StatsRecorder rec_improve(iters); // per-pair improvement, ppm
-    std::uint64_t done_fast = h_fast.pongs();
-    std::uint64_t done_legacy = h_legacy.pongs();
-    std::uint64_t fast_allocs = 0;
+    rt::StatsRecorder rec(iters);
+    std::uint64_t done = h.pongs();
+    std::uint64_t allocs = 0;
     for (std::size_t it = 0; it < warmup + iters; ++it) {
         const std::uint64_t a0 = g_allocs.load();
-        const std::int64_t ns_fast = run_batch(h_fast, payload, done_fast);
+        const std::int64_t ns = run_batch(h, payload, done);
         const std::uint64_t a1 = g_allocs.load();
-        const std::int64_t ns_legacy =
-            run_batch(h_legacy, payload, done_legacy);
         if (it >= warmup) {
-            fast_allocs += a1 - a0;
-            rec_fast.record(ns_fast);
-            rec_legacy.record(ns_legacy);
-            if (ns_legacy > 0) {
-                rec_improve.record((ns_legacy - ns_fast) * 1'000'000 /
-                                   ns_legacy);
-            }
+            allocs += a1 - a0;
+            rec.record(ns);
         }
     }
-    PairResult r;
-    r.fast.allocs_per_message = static_cast<double>(fast_allocs) /
-                                static_cast<double>(iters * kBatch);
-    r.fast.stats = rec_fast.summarize();
-    r.legacy.stats = rec_legacy.summarize();
-    r.paired_improvement_pct =
-        static_cast<double>(rec_improve.summarize().median) / 10'000.0;
+    RungResult r;
+    r.allocs_per_message = static_cast<double>(allocs) /
+                           static_cast<double>(iters * kBatch);
+    r.stats = rec.summarize();
     return r;
 }
 
@@ -475,46 +448,26 @@ ShmRungResult run_shm_rung(net::Transport& shm_wire, net::Transport* shm_peer,
 
 // ---- zero-copy receive payload sweep ----
 //
-// Two live segments in the same run, identical except for the receive
-// discipline: one hands out borrowed frames (views into the rx arena),
-// the other copies every frame into a pooled buffer first (the pre-change
-// behavior, still available as the pin-budget fallback). The echo shape
-// pays the receive cost on both endpoints, so a batch's delta is two
-// memcpys per round trip.
+// One live segment with the default receive discipline (borrowed frames,
+// views into the rx arena), echoed at growing payloads. The echo shape
+// pays the receive cost on both endpoints.
 
 struct SweepRow {
     std::size_t payload = 0;
     rt::StatsSummary zero_copy;
-    rt::StatsSummary copying;
-    /// Median over batches of the per-pair improvement; robust to drift
-    /// (see PairResult::paired_improvement_pct).
-    double paired_improvement_pct = 0.0;
 };
 
-SweepRow run_sweep_rung(net::Transport& zc_wire, net::Transport& copy_wire,
-                        std::size_t payload, std::size_t iters,
-                        std::size_t warmup) {
+SweepRow run_sweep_rung(net::Transport& wire, std::size_t payload,
+                        std::size_t iters, std::size_t warmup) {
     const std::vector<std::uint8_t> frame = wire_frame(payload);
-    rt::StatsRecorder rec_zc(iters);
-    rt::StatsRecorder rec_copy(iters);
-    rt::StatsRecorder rec_improve(iters);
+    rt::StatsRecorder rec(iters);
     for (std::size_t it = 0; it < warmup + iters; ++it) {
-        const std::int64_t ns_zc = wire_batch(zc_wire, frame);
-        const std::int64_t ns_copy = wire_batch(copy_wire, frame);
-        if (it >= warmup) {
-            rec_zc.record(ns_zc);
-            rec_copy.record(ns_copy);
-            if (ns_copy > 0) {
-                rec_improve.record((ns_copy - ns_zc) * 1'000'000 / ns_copy);
-            }
-        }
+        const std::int64_t ns = wire_batch(wire, frame);
+        if (it >= warmup) rec.record(ns);
     }
     SweepRow r;
     r.payload = payload;
-    r.zero_copy = rec_zc.summarize();
-    r.copying = rec_copy.summarize();
-    r.paired_improvement_pct =
-        static_cast<double>(rec_improve.summarize().median) / 10'000.0;
+    r.zero_copy = rec.summarize();
     return r;
 }
 
@@ -766,7 +719,7 @@ int main(int argc, char** argv) {
     if (const std::size_t swept = net::sweep_orphan_segments()) {
         std::printf("reclaimed %zu orphaned shm segment(s)\n", swept);
     }
-    std::printf("=== Remote round-trip: pooled wire fast path vs legacy ===\n");
+    std::printf("=== Remote round-trip: pooled wire fast path ===\n");
     std::printf("batched %zu in flight, %zu samples per rung%s%s\n\n", kBatch,
                 iters, smoke ? " (smoke)" : "", shm_only ? " (shm only)" : "");
 
@@ -780,42 +733,31 @@ int main(int argc, char** argv) {
     net::FrameBufferPool::global().prewarm(4096, 4 * kBatch);
 
     RungResult fast[kSizeCount];
-    RungResult legacy[kSizeCount];
-    double paired[kSizeCount] = {};
     double worst_allocs = 0.0;
     BurstResult coalesce, direct;
-    double improvement = 0.0;
     if (!shm_only) {
-        EchoHarness h_fast(false);
-        EchoHarness h_legacy(true);
+        EchoHarness h;
         // Timed burn-in before any rung is measured: the first rung would
         // otherwise be taken while the CPU governor is still ramping (its
         // p50 comes out *above* the larger payloads measured seconds
-        // later), and the gate reads that first rung.
+        // later).
         {
             const auto burn_until = std::chrono::steady_clock::now() +
                                     std::chrono::milliseconds(smoke ? 50
                                                                     : 2000);
-            std::uint64_t done_fast = h_fast.pongs();
-            std::uint64_t done_legacy = h_legacy.pongs();
+            std::uint64_t done = h.pongs();
             while (std::chrono::steady_clock::now() < burn_until) {
-                run_batch(h_fast, kPayloadSizes[0], done_fast);
-                run_batch(h_legacy, kPayloadSizes[0], done_legacy);
+                run_batch(h, kPayloadSizes[0], done);
             }
         }
         for (std::size_t i = 0; i < kSizeCount; ++i) {
-            PairResult pair =
-                run_pair(h_fast, h_legacy, kPayloadSizes[i], iters, warmup);
-            fast[i] = pair.fast;
-            legacy[i] = pair.legacy;
-            paired[i] = pair.paired_improvement_pct;
+            fast[i] = run_rung(h, kPayloadSizes[i], iters, warmup);
         }
 
         std::printf("%-10s %8s %10s %10s %10s %10s\n", "Variant", "payload",
                     "p50(us)", "p90(us)", "p99(us)", "max(us)");
         for (std::size_t i = 0; i < kSizeCount; ++i) {
             print_row("fast", kPayloadSizes[i], fast[i].stats);
-            print_row("legacy", kPayloadSizes[i], legacy[i].stats);
         }
 
         for (const RungResult& r : fast) {
@@ -834,17 +776,6 @@ int main(int argc, char** argv) {
                     coalesce.syscalls_per_frame,
                     static_cast<unsigned long long>(coalesce.max_batch_frames),
                     direct.syscalls_per_frame);
-
-        // The gated number is the median of per-pair improvements (each
-        // fast batch against the legacy batch run back to back with it),
-        // which cancels machine drift the ratio of two global medians is
-        // exposed to.
-        improvement = paired[0];
-        std::printf("p50 at 32 B: fast %.2f us vs legacy %.2f us "
-                    "(paired median improvement %.1f%%)\n",
-                    static_cast<double>(fast[0].stats.median) / 1000.0,
-                    static_cast<double>(legacy[0].stats.median) / 1000.0,
-                    improvement);
     }
 
     // ---- co-located shm rung: segment wire vs TCP fast path, same run ----
@@ -879,7 +810,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(shm_rung.rx_copies));
     }
 
-    // ---- zero-copy receive sweep: borrowed frames vs copy-out, same run --
+    // ---- zero-copy receive sweep: borrowed frames across payload sizes --
     constexpr std::size_t kSweepSizes[] = {32, 512, 4096};
     constexpr std::size_t kSweepCount =
         sizeof(kSweepSizes) / sizeof(kSweepSizes[0]);
@@ -887,36 +818,23 @@ int main(int argc, char** argv) {
     bool sweep_ran = false;
     {
         net::FrameBufferPool::global().prewarm(8192, kBatch);
-        net::ShmOptions zc_opts;
-        zc_opts.borrowed_frames = true;
-        net::ShmOptions copy_opts;
-        copy_opts.borrowed_frames = false;
-        ShmWirePair zc_pair = make_shm_pair(zc_opts);
-        ShmWirePair copy_pair = make_shm_pair(copy_opts);
-        if (zc_pair.shm && copy_pair.shm) {
+        ShmWirePair zc_pair = make_shm_pair(shm_opts);
+        if (zc_pair.shm) {
             sweep_ran = true;
             zc_pair.echo.start();
-            copy_pair.echo.start();
-            std::printf("\n=== zero-copy receive vs copy-out (payload sweep) "
-                        "===\n");
+            std::printf("\n=== zero-copy receive (payload sweep) ===\n");
             std::printf("%-10s %8s %10s %10s %10s %10s\n", "Receive",
                         "payload", "p50(us)", "p90(us)", "p99(us)", "max(us)");
             for (std::size_t i = 0; i < kSweepCount; ++i) {
-                sweep[i] = run_sweep_rung(*zc_pair.client, *copy_pair.client,
-                                          kSweepSizes[i], iters, warmup);
+                sweep[i] = run_sweep_rung(*zc_pair.client, kSweepSizes[i],
+                                          iters, warmup);
                 print_row("zero-copy", kSweepSizes[i], sweep[i].zero_copy);
-                print_row("copy-out", kSweepSizes[i], sweep[i].copying);
-                std::printf("%-10s %6zu B   paired p50 improvement %.1f%%\n",
-                            "", kSweepSizes[i],
-                            sweep[i].paired_improvement_pct);
             }
             zc_pair.client->close();
             zc_pair.echo.join();
-            copy_pair.client->close();
-            copy_pair.echo.join();
         } else {
-            std::fprintf(stderr, "sweep skipped: shm upgrade failed (%s / %s)\n",
-                         zc_pair.detail.c_str(), copy_pair.detail.c_str());
+            std::fprintf(stderr, "sweep skipped: shm upgrade failed (%s)\n",
+                         zc_pair.detail.c_str());
         }
     }
 
@@ -968,8 +886,6 @@ int main(int argc, char** argv) {
                 std::fprintf(f, "    {\"payload_bytes\": %zu, \"fast\": ",
                              kPayloadSizes[i]);
                 emit_stats(f, fast[i].stats);
-                std::fprintf(f, ", \"legacy\": ");
-                emit_stats(f, legacy[i].stats);
                 std::fprintf(f, "}%s\n", i + 1 < kSizeCount ? "," : "");
             }
             std::fprintf(f, "  ],\n");
@@ -983,11 +899,6 @@ int main(int argc, char** argv) {
                          direct.syscalls_per_frame,
                          static_cast<unsigned long long>(
                              coalesce.max_batch_frames));
-            std::fprintf(f, "  \"improvement_p50_32B_pct\": %.1f,\n",
-                         improvement);
-            std::fprintf(f, "  \"paired_improvement_pct\": [%.1f, %.1f, "
-                         "%.1f, %.1f],\n",
-                         paired[0], paired[1], paired[2], paired[3]);
         }
         std::fprintf(f, "  \"shm\": {\n");
         std::fprintf(f, "    \"upgraded\": %s,\n",
@@ -1018,11 +929,7 @@ int main(int argc, char** argv) {
                              "\"zero_copy\": ",
                              sweep[i].payload);
                 emit_stats(f, sweep[i].zero_copy);
-                std::fprintf(f, ", \"copying\": ");
-                emit_stats(f, sweep[i].copying);
-                std::fprintf(f, ", \"paired_improvement_pct\": %.1f}%s\n",
-                             sweep[i].paired_improvement_pct,
-                             i + 1 < kSweepCount ? "," : "");
+                std::fprintf(f, "}%s\n", i + 1 < kSweepCount ? "," : "");
             }
             std::fprintf(f, "    ],\n");
         }
@@ -1078,21 +985,6 @@ int main(int argc, char** argv) {
                      "FAIL: coalescing writer made %.3f syscalls per frame "
                      "under burst (want < 1)\n",
                      coalesce.syscalls_per_frame);
-        ok = false;
-    }
-    // Gate 3 (full runs on plain builds only — timing under smoke samples
-    // or sanitizers is noise): >= 15% p50 improvement at 32 B. The bound
-    // was 20% when the blocking receive path issued two read() calls per
-    // frame; the scratch-staged buffered read (one read per kernel chunk)
-    // is shared by both wire formats, so the legacy baseline got faster
-    // too and the copying overhead is now a smaller slice of a cheaper
-    // round trip (measured 16-19% after, vs 21% before).
-    if (!shm_only && !smoke && !COMPADRES_UNDER_SANITIZER &&
-        improvement < 15.0) {
-        std::fprintf(stderr,
-                     "FAIL: p50 at 32 B improved only %.1f%% over the legacy "
-                     "wire (want >= 15%%)\n",
-                     improvement);
         ok = false;
     }
     // Gate 4: two endpoints on the same host must actually get the
@@ -1153,7 +1045,7 @@ int main(int argc, char** argv) {
                      failover.pinned_ok ? "intact" : "CORRUPT");
         ok = false;
     }
-    // Gate 8: with borrowed frames on, the steady shm rung never falls back
+    // Gate 8: the steady shm rung never falls back
     // to the copy-out path — every received frame is a view into the
     // segment.
     if (shm_pair.shm && shm_rung.rx_copies != 0) {
@@ -1163,26 +1055,6 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(shm_rung.rx_copies),
                      static_cast<unsigned long long>(shm_rung.rx_borrowed));
         ok = false;
-    }
-    // Gate 9 (full runs on plain builds only): the zero-copy receive path
-    // never loses to the copy-out baseline at the smallest payload, and
-    // wins by >= 15% paired p50 once the memcpy is 4 KiB per direction.
-    if (sweep_ran && !smoke && !COMPADRES_UNDER_SANITIZER) {
-        if (sweep[0].paired_improvement_pct < 0.0) {
-            std::fprintf(stderr,
-                         "FAIL: zero-copy receive is %.1f%% slower than the "
-                         "copying baseline at %zu B (want >= 0%%)\n",
-                         -sweep[0].paired_improvement_pct, sweep[0].payload);
-            ok = false;
-        }
-        if (sweep[kSweepCount - 1].paired_improvement_pct < 15.0) {
-            std::fprintf(stderr,
-                         "FAIL: zero-copy receive improved paired p50 only "
-                         "%.1f%% at %zu B (want >= 15%%)\n",
-                         sweep[kSweepCount - 1].paired_improvement_pct,
-                         sweep[kSweepCount - 1].payload);
-            ok = false;
-        }
     }
     // Gate 10 (full runs on plain builds only): a saturating bulk lane must
     // not queue ahead of the urgent lane — banded rings keep the urgent p99

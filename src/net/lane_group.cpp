@@ -72,7 +72,6 @@ LaneHello decode_hello(const FrameBuffer& frame) {
 std::vector<std::unique_ptr<FrameBufferPool>>
 make_lane_pools(const LaneGroupOptions& options, std::size_t lanes) {
     std::vector<std::unique_ptr<FrameBufferPool>> pools(lanes);
-    if (!options.per_lane_pools) return pools; // all-null: global pool
     FramePoolOptions po;
     po.thread_cache = true;
     for (std::size_t c = 0; c < 4; ++c) po.tls_depth[c] = options.tls_depth[c];
@@ -252,7 +251,7 @@ std::unique_ptr<LaneGroup> lane_connect(const std::string& host,
     lanes.reserve(bands);
     for (std::size_t i = 0; i < bands; ++i) {
         TcpOptions tcp = options.tcp;
-        tcp.pool = pools[i] ? pools[i].get() : nullptr;
+        tcp.pool = pools[i].get();
         auto lane = tcp_connect(host, port, tcp);
         lane->send_frame(encode_hello(group_id, static_cast<std::uint32_t>(i),
                                       static_cast<std::uint32_t>(bands)));
@@ -294,7 +293,7 @@ std::unique_ptr<LaneGroup> LaneAcceptor::accept() {
         for (std::size_t i = 0; i < lanes.size(); ++i) {
             // Injected before the wire is registered with any reactor or
             // reader, which is the documented window for set_frame_pool.
-            if (pools[i]) lanes[i]->set_frame_pool(pools[i].get());
+            lanes[i]->set_frame_pool(pools[i].get());
         }
         return std::make_unique<LaneGroup>(std::move(lanes), std::move(pools),
                                            hello.group_id);

@@ -57,13 +57,10 @@ struct LaneGroupOptions {
     /// Number of priority bands = TCP wires per logical route. Band 0 is
     /// the most urgent. Default 2: urgent / bulk.
     std::size_t bands = 2;
-    /// Per-wire TCP options. The pool field is overridden per lane when
-    /// per_lane_pools is set.
+    /// Per-wire TCP options. The pool field is overridden per lane: each
+    /// lane gets its own FrameBufferPool (thread-cached, depths below) so
+    /// bands never share a pool ring.
     TcpOptions tcp;
-    /// Give each lane its own FrameBufferPool (thread-cached, depths
-    /// below) so bands never share a pool ring. Off: every lane uses the
-    /// process-global pool.
-    bool per_lane_pools = true;
     /// Per-size-class TLS ring depths for the per-lane pools.
     std::size_t tls_depth[4] = {16, 16, 2, 1};
 };
@@ -94,7 +91,7 @@ struct LanePolicy {
 class LaneGroup final : public Transport {
 public:
     /// Takes ownership of the connected lanes (lane i = band i) and the
-    /// per-lane pools backing them (entries may be null when the lane
+    /// per-lane pools backing them (a missing or null entry means the lane
     /// uses the global pool). Use lane_connect()/LaneAcceptor::accept()
     /// rather than building groups by hand.
     LaneGroup(std::vector<std::unique_ptr<Transport>> lanes,
@@ -147,8 +144,8 @@ public:
     }
 
     TransportStats lane_stats(std::size_t i) const { return lanes_[i]->stats(); }
-    /// The pool backing band i's lane (the global pool when per-lane
-    /// pools are off). Encoders acquire outbound storage here so the
+    /// The pool backing band i's lane (the global pool for a lane built
+    /// without one). Encoders acquire outbound storage here so the
     /// whole band round-trip stays inside one pool.
     FrameBufferPool& pool_for_band(std::size_t i) noexcept;
     /// Count of lane-death reroute events (satellite: counted failover).

@@ -495,10 +495,8 @@ private:
         // the whole burst and the corked writer folds the replies into
         // one flush. Unprivileged (it only ever lowers priority);
         // best-effort on kernels without it.
-        if (sched_batch_hint_) {
-            struct sched_param sp {};
-            (void)::sched_setscheduler(0, SCHED_BATCH, &sp);
-        }
+        struct sched_param sp {};
+        (void)::sched_setscheduler(0, SCHED_BATCH, &sp);
         backend_->run();
         // Final drain under the same lock hold that publishes exited_:
         // a racing post() either lands before (drained here) or observes
@@ -574,7 +572,6 @@ private:
     std::atomic<std::uint64_t> send_sqes_{0};
     std::atomic<std::uint64_t> recv_enobufs_{0};
 
-    bool sched_batch_hint_ = true;
     bool is_uring_ = false;
     bool uring_fallback_ = false;
 
@@ -713,8 +710,7 @@ private:
 // sendmsg); the eventfd command ring is bridged as a re-posted in-ring
 // read chain; non-loop-thread parks arm a one-shot POLL_ADD(POLLOUT).
 // One io_uring_enter per cycle submits the whole cycle's SQE batch and
-// waits — a corked pump's reply burst is one ring doorbell, zero under
-// SQPOLL.
+// waits — a corked pump's reply burst is one ring doorbell.
 // ---------------------------------------------------------------------
 class UringBackend final : public LoopBackend, public ReactorLoopSender {
 public:
@@ -907,7 +903,6 @@ private:
         Uring::Options o;
         o.entries = options.uring_entries ? options.uring_entries
                                           : kDefaultUringEntries;
-        o.sqpoll = options.sqpoll;
         return o;
     }
 
@@ -1092,8 +1087,7 @@ private:
 } // namespace
 
 Reactor::Loop::Loop(std::size_t index, const ReactorOptions& options,
-                    ReactorBackend kind)
-    : sched_batch_hint_(options.sched_batch_hint) {
+                    ReactorBackend kind) {
     evfd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (evfd_ < 0) {
         throw TransportError(std::string("eventfd: ") + std::strerror(errno));

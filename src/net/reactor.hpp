@@ -20,7 +20,7 @@
 //     pool-backed provided buffers (no read() syscalls), loop-thread
 //     sends are gather-send SQEs completed in-ring (no sendmsg), and a
 //     whole CQE batch of pumps plus their corked replies costs one
-//     io_uring_enter — zero under the opt-in SQPOLL knob. Setup failure
+//     io_uring_enter. Setup failure
 //     (ENOSYS/EPERM under seccomp, absurd queue depth) falls back to
 //     epoll per loop, counted in ReactorStats::uring_fallbacks.
 //
@@ -51,20 +51,9 @@ struct ReactorOptions {
     /// Event-loop threads. 0 = COMPADRES_REACTOR_THREADS env var if set,
     /// else min(4, hardware_concurrency).
     std::size_t threads = 0;
-    /// Run loop threads under SCHED_BATCH (best-effort, unprivileged).
-    /// A loop that wakeup-preempts the producers feeding it sees one
-    /// frame per wakeup and can never coalesce; the batch hint lets a
-    /// bursting sender finish before the loop runs, so one pump sees
-    /// the whole burst and replies fold into one flush. Turn off when
-    /// loop threads are given an explicit RT scheduling class instead.
-    bool sched_batch_hint = true;
     /// Loop backend selection (see ReactorBackend). kUring still probes
     /// at runtime and falls back to epoll when the kernel denies io_uring.
     ReactorBackend backend = ReactorBackend::kDefault;
-    /// io_uring submission-queue polling (IORING_SETUP_SQPOLL): a kernel
-    /// thread drains the SQ so a busy loop publishes SQEs without any
-    /// syscall. Opt-in — the poller burns a core while traffic is idle.
-    bool sqpoll = false;
     /// io_uring SQ/CQ depth per loop (0 = 256). Values the kernel rejects
     /// (beyond IORING_MAX_ENTRIES, 32768) count as a setup failure and the
     /// loop falls back to epoll (the forced-failure test seam).
@@ -89,9 +78,8 @@ struct ReactorStats {
     /// each also fired the wire's on_closed and counts in wires_closed.
     std::uint64_t wire_add_failures = 0;
     /// Loop blocking waits that entered the kernel: epoll_wait calls on
-    /// the epoll backend, io_uring_enter calls on the uring backend
-    /// (SQPOLL publishes without entering, so these can be ~0 under
-    /// load). The numerator of the loop-side syscalls_per_frame metric.
+    /// the epoll backend, io_uring_enter calls on the uring backend.
+    /// The numerator of the loop-side syscalls_per_frame metric.
     std::uint64_t wait_syscalls = 0;
     /// read() calls issued by the epoll read pump. Zero on the uring
     /// backend — receives complete in-ring into provided buffers.

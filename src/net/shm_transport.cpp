@@ -797,8 +797,8 @@ private:
         return done ? RingRecv::ended() : RingRecv{};
     }
 
-    /// Deliver the frame at `next` in band `b`. Zero-copy when borrowing
-    /// is on and the pin budget allows: the frame is a view of the arena
+    /// Deliver the frame at `next` in band `b`. Zero-copy while the pin
+    /// budget allows: the frame is a view of the arena
     /// slot, the release hook retires it when the frame dies, and the
     /// keepalive pins this session (and the mapping) underneath it.
     /// Otherwise copy out into a pooled buffer and retire immediately.
@@ -814,7 +814,7 @@ private:
             next - rx.retired.load(std::memory_order_acquire);
         FrameBuffer out;
         bool copied = false;
-        if (borrowed_ && pinned < max_pinned_) {
+        if (pinned < max_pinned_) {
             out = FrameBuffer::borrow(
                 src, slot.len, &ShmSession::release_hook, this,
                 (static_cast<std::uint32_t>(b) << 24) | idx,
@@ -822,9 +822,7 @@ private:
             rx.borrowed.fetch_add(1, std::memory_order_relaxed);
             pool().note_borrowed();
         } else {
-            if (borrowed_) {
-                rx.pin_stalls.fetch_add(1, std::memory_order_relaxed);
-            }
+            rx.pin_stalls.fetch_add(1, std::memory_order_relaxed);
             out = pool().acquire(slot.len);
             std::memcpy(out.data(), src, slot.len);
             rx.copies.fetch_add(1, std::memory_order_relaxed);
@@ -1155,7 +1153,6 @@ private:
     std::size_t max_frame_ = 0;
     std::size_t bands_ = 1;
     std::uint32_t max_pinned_ = 1;
-    const bool borrowed_ = opts_.borrowed_frames;
     int tcp_fd_ = -1;
 
     std::mutex send_mu_;   ///< failover state machine + TCP send ordering

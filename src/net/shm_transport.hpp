@@ -91,17 +91,15 @@ struct ShmOptions {
     /// Futex sleep per wait cycle, µs. Doubles as the cadence at which a
     /// blocked receiver polls the TCP control channel and peer liveness.
     std::size_t wait_cycle_us = 10 * 1000;
-    /// Hand inbound frames out as borrowed views into the rx arena
-    /// (zero-copy) instead of copying into a pooled buffer. On by
-    /// default; the bench's copying baseline turns it off.
-    bool borrowed_frames = true;
-    /// Pinned-slot backpressure budget: the most rx slots (per band) the
-    /// app may hold via undropped borrowed frames before recv falls back
+    /// Pinned-slot backpressure budget. Inbound frames are handed out as
+    /// borrowed views into the rx arena (zero-copy); this is the most rx
+    /// slots (per band) the app may hold via undropped borrowed frames
+    /// before recv falls back
     /// to copy-out (counted in shm_rx_copies / shm_rx_pin_stalls). 0
     /// means ring_capacity / 2; always clamped to ring_capacity - 1.
     std::size_t max_pinned_slots = 0;
-    /// Pool inbound frames are copied out into (pin budget exhausted or
-    /// borrowed_frames off); nullptr = process global.
+    /// Pool inbound frames are copied out into when the pin budget is
+    /// exhausted; nullptr = process global.
     FrameBufferPool* pool = nullptr;
 };
 

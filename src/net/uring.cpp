@@ -62,16 +62,11 @@ bool uring_available() noexcept {
 
 Uring::Uring(const Options& opts) {
     io_uring_params p{};
-    if (opts.sqpoll) {
-        p.flags |= IORING_SETUP_SQPOLL;
-        p.sq_thread_idle = opts.sqpoll_idle_ms;
-    }
     // Deliberately no IORING_SETUP_CLAMP: a depth beyond IORING_MAX_ENTRIES
     // is rejected (EINVAL) instead of silently clamped, which is exactly
     // the forced-setup-failure seam the epoll-fallback tests lean on.
     ring_fd_ = sys_io_uring_setup(opts.entries, &p);
     if (ring_fd_ < 0) fail("setup", errno);
-    sqpoll_ = (p.flags & IORING_SETUP_SQPOLL) != 0;
 
     sq_map_len_ = p.sq_off.array + p.sq_entries * sizeof(unsigned);
     std::size_t cq_len = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
@@ -126,7 +121,6 @@ Uring::Uring(const Options& opts) {
     auto* sq_base = static_cast<std::uint8_t*>(sq_map_);
     sq_khead_ = reinterpret_cast<unsigned*>(sq_base + p.sq_off.head);
     sq_ktail_ = reinterpret_cast<unsigned*>(sq_base + p.sq_off.tail);
-    sq_kflags_ = reinterpret_cast<unsigned*>(sq_base + p.sq_off.flags);
     sq_mask_ = *reinterpret_cast<unsigned*>(sq_base + p.sq_off.ring_mask);
     sq_entry_count_ = p.sq_entries;
     // Identity-map the SQ index array once: slot i always submits sqes_[i],
@@ -191,22 +185,6 @@ int Uring::submit_and_wait(unsigned wait_nr, bool* entered) noexcept {
     if (to_submit > 0) {
         store_release(sq_ktail_, sqe_tail_);
         sqe_head_ = sqe_tail_;
-    }
-    if (sqpoll_) {
-        // The kernel thread consumes the SQ on its own; enter only to
-        // wake a napping poller or to actually wait for completions.
-        unsigned flags = 0;
-        if (load_acquire(sq_kflags_) & IORING_SQ_NEED_WAKEUP) {
-            flags |= IORING_ENTER_SQ_WAKEUP;
-        }
-        if (wait_nr > 0 && cq_ready() < wait_nr) {
-            flags |= IORING_ENTER_GETEVENTS;
-        }
-        if (flags == 0) return static_cast<int>(to_submit);
-        if (entered != nullptr) *entered = true;
-        const int r = enter(0, (flags & IORING_ENTER_GETEVENTS) ? wait_nr : 0,
-                            flags);
-        return r < 0 ? r : static_cast<int>(to_submit);
     }
     if (to_submit == 0 && (wait_nr == 0 || cq_ready() >= wait_nr)) return 0;
     if (entered != nullptr) *entered = true;

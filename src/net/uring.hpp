@@ -1,10 +1,9 @@
 // Minimal io_uring shim — raw syscalls, no liburing.
 //
-// The reactor's UringBackend (net/reactor.cpp) needs exactly four things
+// The reactor's UringBackend (net/reactor.cpp) needs exactly three things
 // from io_uring: a submission queue it can batch SQEs into, a completion
-// queue it can drain without syscalls, a provided-buffer ring so multishot
-// recv completes straight into pool-backed staging chunks, and SQPOLL as
-// an opt-in so a busy loop submits without entering the kernel at all.
+// queue it can drain without syscalls, and a provided-buffer ring so
+// multishot recv completes straight into pool-backed staging chunks.
 // liburing is not a dependency of this repo, so this header carries a
 // small self-contained wrapper over io_uring_setup(2)/io_uring_enter(2)/
 // io_uring_register(2) and the mmap'd ring layout from
@@ -13,11 +12,11 @@
 // are plain members, not atomics — the kernel-shared head/tail words get
 // acquire/release accesses, nothing else is shared).
 //
-// Kernel-compat notes: IORING_SETUP_CLAMP keeps oversized queue-depth
-// requests from failing setup; the provided-buffer ring
+// Kernel-compat notes: the provided-buffer ring
 // (IORING_REGISTER_PBUF_RING) needs >= 5.19 and multishot recv >= 6.0 —
-// on older kernels or seccomp'd containers where io_uring_setup itself
-// returns ENOSYS/EPERM, setup throws and the reactor falls back to epoll
+// on older kernels, seccomp'd containers where io_uring_setup itself
+// returns ENOSYS/EPERM, or a queue depth beyond IORING_MAX_ENTRIES (no
+// IORING_SETUP_CLAMP), setup throws and the reactor falls back to epoll
 // (counted in ReactorStats::uring_fallbacks).
 #pragma once
 
@@ -38,12 +37,6 @@ public:
     struct Options {
         /// SQ/CQ depth request (kernel-clamped, power-of-two rounded).
         unsigned entries = 256;
-        /// IORING_SETUP_SQPOLL: a kernel thread drains the SQ, so
-        /// publishing an SQE needs no syscall while the poller is awake.
-        bool sqpoll = false;
-        /// SQPOLL idle before the kernel thread naps (then one
-        /// IORING_ENTER_SQ_WAKEUP enter re-arms it).
-        unsigned sqpoll_idle_ms = 20;
     };
 
     /// Throws TransportError when the ring cannot be set up (ENOSYS,
@@ -56,7 +49,6 @@ public:
     Uring& operator=(const Uring&) = delete;
 
     int ring_fd() const noexcept { return ring_fd_; }
-    bool sqpoll() const noexcept { return sqpoll_; }
     unsigned sq_entries() const noexcept { return sq_entry_count_; }
 
     /// Next free SQE, zero-initialized with user_data/fd/addr ready to
@@ -66,8 +58,8 @@ public:
     /// Publish prepared SQEs and optionally wait for completions.
     /// Returns the number of SQEs the kernel consumed (>= 0) or -errno.
     /// `*entered` reports whether an io_uring_enter syscall was actually
-    /// made — under SQPOLL a publish is often free, and a wait can be
-    /// satisfied from an already-populated CQ without entering.
+    /// made — a call with nothing to submit whose wait is already
+    /// satisfied from a populated CQ returns without entering.
     int submit_and_wait(unsigned wait_nr, bool* entered) noexcept;
     int submit(bool* entered) noexcept { return submit_and_wait(0, entered); }
 
@@ -103,7 +95,6 @@ private:
               unsigned flags) noexcept;
 
     int ring_fd_ = -1;
-    bool sqpoll_ = false;
 
     // SQ mapping.
     void* sq_map_ = nullptr;
@@ -112,7 +103,6 @@ private:
     std::size_t sqes_len_ = 0;
     unsigned* sq_khead_ = nullptr;
     unsigned* sq_ktail_ = nullptr;
-    unsigned* sq_kflags_ = nullptr;
     unsigned sq_mask_ = 0;
     unsigned sq_entry_count_ = 0;
     unsigned sqe_tail_ = 0; ///< local shadow: SQEs handed out, maybe unseen

@@ -328,8 +328,8 @@ private:
 /// resident reader threads under fan-in); others get a reader thread.
 class PoaAcceptorComponent final : public core::Component {
 public:
-    PoaAcceptorComponent(const core::ComponentContext& ctx, bool use_reactor)
-        : core::Component(ctx), use_reactor_(use_reactor) {
+    explicit PoaAcceptorComponent(const core::ComponentContext& ctx)
+        : core::Component(ctx) {
         add_out_port<GiopFrame>("toTransport", "GiopFrame");
     }
 
@@ -340,7 +340,7 @@ public:
         if (stopping_) throw OrbError("POA is shut down");
         net::Transport* raw = wire.get();
         wires_.push_back(std::move(wire));
-        if (use_reactor_ && raw->reactor_hook() != nullptr) {
+        if (raw->reactor_hook() != nullptr) {
             reactor_wires_.push_back(net::Reactor::shared().register_wire(
                 *raw, [this, raw](net::FrameBuffer frame) {
                     feed_pipeline(*raw, frame.data(), frame.size());
@@ -411,7 +411,6 @@ private:
 
     std::mutex mu_;
     bool stopping_ = false;
-    bool use_reactor_ = true;
     std::vector<std::unique_ptr<net::Transport>> wires_;
     std::vector<std::uint64_t> reactor_wires_;
     std::vector<std::unique_ptr<rt::RtThread>> readers_;
@@ -513,7 +512,7 @@ struct ServerOrb::Impl {
     RequestProcessingComponent* rp = nullptr;
 };
 
-ServerOrb::ServerOrb(ServerOrbOptions options)
+ServerOrb::ServerOrb()
     : impl_(std::make_unique<Impl>()) {
     register_orb_message_types();
     core::RtsjAttributes attrs;
@@ -524,7 +523,7 @@ ServerOrb::ServerOrb(ServerOrbOptions options)
 
     impl_->orb = &app_->create_immortal<ServerOrbComponent>("Orb");
     impl_->poa = &app_->create_scoped<PoaAcceptorComponent>(
-        "Poa", *impl_->orb, 1, options.use_reactor);
+        "Poa", *impl_->orb, 1);
     impl_->transport = &app_->create_scoped<ServerTransportComponent>(
         "ServerTransport", *impl_->poa, 2);
     impl_->rp = &app_->create_scoped<RequestProcessingComponent>(
@@ -550,6 +549,9 @@ void ServerOrb::shutdown() {
     if (app_ == nullptr || impl_ == nullptr) return;
     impl_->poa->stop();
     app_->shutdown();
+    // The application reclaimed the pipeline components; drop the stale
+    // pointers so a second shutdown() (the destructor's) is a no-op.
+    impl_.reset();
 }
 
 } // namespace compadres::orb

@@ -26,13 +26,14 @@ struct Completion {
     std::uint32_t status = 0; ///< cdr::ReplyStatus value
     std::vector<std::uint8_t> reply;
 
+    /// Notifies under `mu`: the waiter owns this record on its stack and
+    /// may destroy it as soon as it observes `done`, so `cv` must not be
+    /// touched after the lock is released.
     void complete(std::uint32_t s, const std::uint8_t* data, std::size_t n) {
-        {
-            std::lock_guard lk(mu);
-            status = s;
-            reply.assign(data, data + n);
-            done = true;
-        }
+        std::lock_guard lk(mu);
+        status = s;
+        reply.assign(data, data + n);
+        done = true;
         cv.notify_one();
     }
 

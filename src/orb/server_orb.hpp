@@ -24,19 +24,9 @@
 
 namespace compadres::orb {
 
-struct ServerOrbOptions {
-    /// Serve adopted wires from the shared epoll reactor pool
-    /// (net/reactor.hpp) instead of spawning one blocking poa-reader
-    /// thread per connection — the difference between O(connections)
-    /// and O(1) resident reader threads under fan-in. Wires without a
-    /// pollable descriptor (the in-process loopback) always fall back
-    /// to a per-wire reader thread.
-    bool use_reactor = true;
-};
-
 class ServerOrb {
 public:
-    explicit ServerOrb(ServerOrbOptions options = {});
+    ServerOrb();
     ~ServerOrb();
 
     ServerOrb(const ServerOrb&) = delete;
@@ -44,10 +34,12 @@ public:
 
     void register_servant(const std::string& object_key, Servant servant);
 
-    /// Adopt a connected wire: its requests feed the POA pipeline (from a
-    /// reactor loop or a dedicated reader thread, per ServerOrbOptions);
-    /// replies go back on the same wire. May be called for multiple
-    /// connections.
+    /// Adopt a connected wire: its requests feed the POA pipeline; replies
+    /// go back on the same wire. Wires with a pollable descriptor are
+    /// served by the shared epoll reactor pool (net/reactor.hpp), so
+    /// fan-in costs O(1) resident reader threads rather than one per
+    /// connection; others (the in-process loopback) get a dedicated
+    /// reader thread. May be called for multiple connections.
     void attach(std::unique_ptr<net::Transport> wire);
 
     /// Stop reader threads and the component pipeline.

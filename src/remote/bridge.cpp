@@ -41,23 +41,9 @@ public:
             route_);
         header_template_ = prefix.take_buffer();
         apply_policy(policy);
-        // Legacy baseline keeps the seed's doubly-erased std::function shape.
-        std::function<void(const void*, cdr::OutputStream&)> inner =
-            [fn = encode_fn_, ctx = encode_ctx_](const void* msg,
-                                                 cdr::OutputStream& out) {
-                fn(ctx, msg, out);
-            };
-        legacy_encode_ = [inner = std::move(inner)](const void* msg,
-                                                    cdr::OutputStream& out) {
-            inner(msg, out);
-        };
     }
 
     void process_raw(void* msg, core::Smm&) override {
-        if (bridge_->options_.legacy_wire_path) {
-            process_legacy(msg);
-            return;
-        }
         cdr::OutputStream out(pool_->acquire_storage(
             scratch_hint_.load(std::memory_order_relaxed)));
         out.write_raw(header_template_.data(), header_template_.size());
@@ -121,35 +107,10 @@ public:
     }
 
 private:
-    /// Pre-pool wire path: separate payload stream, header-string copies,
-    /// and a frame vector copied through the transport shim. Byte-identical
-    /// frames; kept as the bench baseline (BridgeOptions::legacy_wire_path).
-    void process_legacy(void* msg) {
-        cdr::OutputStream body;
-        body.write_ulong(static_cast<std::uint32_t>(priority_));
-        legacy_encode_(msg, body);
-
-        cdr::RequestHeader header;
-        header.request_id = 0;
-        header.response_expected = false;
-        header.object_key = kBridgeObjectKey;
-        header.operation = route_;
-        const std::vector<std::uint8_t> frame = cdr::encode_request(
-            header, body.buffer().data(), body.buffer().size());
-        // The pre-change wire took frames by const reference and its
-        // bounded queue's push(T value) copy-constructed them: a second
-        // allocation + memcpy per message the baseline has to keep paying.
-        std::vector<std::uint8_t> queued(frame);
-        bridge_->wire_->send_frame(queued);
-        bridge_->sent_.fetch_add(1, std::memory_order_relaxed);
-    }
-
     RemoteBridge* bridge_;
     Serializer::EncodeFn encode_fn_;
     const void* encode_ctx_;
     std::shared_ptr<const void> encode_state_;
-    /// Pre-change dispatch shape for the legacy_wire_path baseline.
-    std::function<void(const void*, cdr::OutputStream&)> legacy_encode_;
     std::string route_;
     int priority_;
     /// The band lane's pool (or the wire's default pool): outbound frame
@@ -165,9 +126,8 @@ private:
 
 RemoteBridge::RemoteBridge(core::Application& app,
                            std::unique_ptr<net::Transport> wire,
-                           std::string name, BridgeOptions options)
-    : app_(&app), name_(std::move(name)), options_(options),
-      wire_(std::move(wire)) {
+                           std::string name)
+    : app_(&app), name_(std::move(name)), wire_(std::move(wire)) {
     register_builtin_serializers();
     component_ = &app_->create_immortal<core::Component>(name_);
     // Surface the wire and frame-pool health next to the delivery-fabric
@@ -388,14 +348,6 @@ void RemoteBridge::import_route(const std::string& route,
     r.decode_fn = serializer.decode_fn;
     r.decode_ctx = serializer.decode_ctx;
     r.decode_state = serializer.state;
-    // Legacy baseline keeps the seed's doubly-erased std::function shape.
-    std::function<void(void*, cdr::InputStream&)> inner =
-        [fn = serializer.decode_fn, ctx = serializer.decode_ctx](
-            void* msg, cdr::InputStream& in) { fn(ctx, msg, in); };
-    r.legacy_decode = [inner = std::move(inner)](void* msg,
-                                                 cdr::InputStream& in) {
-        inner(msg, in);
-    };
     r.priority = priority;
     imports_.emplace(route, std::move(r));
 }
@@ -406,21 +358,15 @@ void RemoteBridge::start() {
     // path never grows it. Ids above the bound just take the map path.
     id_cache_.reset(64);
     const std::size_t lanes = wire_->lane_count();
-    if (options_.reader_model == ReaderModel::kReactor &&
-        wire_->lane(0).reactor_hook() != nullptr) {
-        reactor_ = options_.reactor != nullptr ? options_.reactor
-                                               : &net::Reactor::shared();
+    if (wire_->lane(0).reactor_hook() != nullptr) {
+        reactor_ = &net::Reactor::shared();
         // Each lane registers individually, pinned to the reactor loop of
-        // its band: lane i = band i (offset by reactor_band when the
-        // caller reserved a loop range), so an urgent lane never shares a
+        // its band (lane i = band i), so an urgent lane never shares a
         // loop thread with a bulk lane. All lanes share handle_frame —
         // routes multiplex across lanes, route-id cache included.
         reactor_wires_.reserve(lanes);
         for (std::size_t i = 0; i < lanes; ++i) {
-            const int band =
-                options_.reactor_band >= 0
-                    ? options_.reactor_band + static_cast<int>(i)
-                    : (lanes > 1 ? static_cast<int>(i) : -1);
+            const int band = lanes > 1 ? static_cast<int>(i) : -1;
             net::Reactor::ClosedHandler on_closed;
             if (lanes > 1) {
                 // A lane dying under a live group is a counted failover
@@ -470,10 +416,6 @@ void RemoteBridge::reader_loop(std::size_t lane) {
 }
 
 void RemoteBridge::handle_frame(const std::uint8_t* frame, std::size_t size) {
-    if (options_.legacy_wire_path) {
-        handle_frame_legacy(frame, size);
-        return;
-    }
     received_.fetch_add(1, std::memory_order_relaxed);
     try {
         const cdr::DecodedRequestView req = cdr::decode_request_view(frame, size);
@@ -522,47 +464,6 @@ void RemoteBridge::handle_frame(const std::uint8_t* frame, std::size_t size) {
             obs::TraceContext{trace_id, span_id});
         route.out->send_raw(msg, route.priority >= 0 ? route.priority
                                                      : carried_priority);
-    } catch (const std::exception& e) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        std::fprintf(stderr, "[compadres] bridge %s dropped a frame: %s\n",
-                     name_.c_str(), e.what());
-    }
-}
-
-/// Pre-pool receive path, kept byte-for-byte faithful to the seed as the
-/// bench baseline: header strings copied out of the frame (decode_request
-/// materializes std::strings), std::function dispatch through the route's
-/// Serializer, and the registry map behind the route mutex.
-void RemoteBridge::handle_frame_legacy(const std::uint8_t* frame,
-                                       std::size_t size) {
-    received_.fetch_add(1, std::memory_order_relaxed);
-    try {
-        const cdr::DecodedRequest req = cdr::decode_request(frame, size);
-        if (req.header.object_key != kBridgeObjectKey) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-            return;
-        }
-        const ImportRoute* route = nullptr;
-        {
-            std::lock_guard lk(mu_);
-            auto it = imports_.find(req.header.operation);
-            if (it == imports_.end()) {
-                dropped_.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-            route = &it->second;
-        }
-        cdr::InputStream body(req.payload, req.payload_len);
-        const auto carried_priority = static_cast<int>(body.read_ulong());
-        void* msg = route->out->get_message_raw();
-        try {
-            route->legacy_decode(msg, body);
-        } catch (...) {
-            route->out->pool()->release_raw(msg);
-            throw;
-        }
-        route->out->send_raw(msg, route->priority >= 0 ? route->priority
-                                                       : carried_priority);
     } catch (const std::exception& e) {
         dropped_.fetch_add(1, std::memory_order_relaxed);
         std::fprintf(stderr, "[compadres] bridge %s dropped a frame: %s\n",

@@ -44,39 +44,12 @@ public:
     using std::runtime_error::runtime_error;
 };
 
-/// How inbound frames reach handle_frame.
-enum class ReaderModel : std::uint8_t {
-    /// One blocking reader thread per wire — a stack, a kernel thread,
-    /// and scheduler churn per connection. Kept selectable as the
-    /// same-run baseline (mirroring the legacy_wire_path toggle).
-    kThreadPerWire,
-    /// The wire's descriptor joins the shared epoll reactor pool
-    /// (net/reactor.hpp): a bounded set of loop threads serves every
-    /// wire. Transports without a pollable descriptor (the in-process
-    /// loopback) silently fall back to kThreadPerWire.
-    kReactor,
-};
-
-struct BridgeOptions {
-    /// Route frames through the pre-pool wire path: fresh buffers and
-    /// header-string copies per message, payload copied before decode.
-    /// Exists so bench/remote_roundtrip can measure the fast path against
-    /// the old allocation profile in the same run. Wire-compatible with
-    /// the fast path (the frames are byte-identical).
-    bool legacy_wire_path = false;
-    ReaderModel reader_model = ReaderModel::kReactor;
-    /// Reactor to register with; nullptr uses net::Reactor::shared().
-    net::Reactor* reactor = nullptr;
-    /// Priority band for loop assignment (band % threads); -1 round-robin.
-    int reactor_band = -1;
-};
-
 class RemoteBridge {
 public:
     /// Creates the bridge component inside `app` (immortal memory) and
     /// adopts the wire. Call export_route/import_route, then start().
     RemoteBridge(core::Application& app, std::unique_ptr<net::Transport> wire,
-                 std::string name = "RemoteBridge", BridgeOptions options = {});
+                 std::string name = "RemoteBridge");
     ~RemoteBridge();
 
     RemoteBridge(const RemoteBridge&) = delete;
@@ -102,8 +75,9 @@ public:
     void import_route(const std::string& route, core::InPortBase& local_in,
                       int priority = -1);
 
-    /// Start receiving: register with the reactor (ReaderModel::kReactor
-    /// on a reactor-capable wire) or spawn the blocking reader thread.
+    /// Start receiving: register each lane with the shared reactor when
+    /// the wire has a pollable descriptor (net::Transport::reactor_hook),
+    /// otherwise spawn one blocking reader thread per lane.
     /// Routes may not be added after start().
     void start();
 
@@ -148,9 +122,6 @@ private:
         Serializer::DecodeFn decode_fn = nullptr;
         const void* decode_ctx = nullptr;
         std::shared_ptr<const void> decode_state; ///< keepalive for ctx
-        /// Pre-change dispatch shape (nested std::function erasure) so the
-        /// legacy_wire_path baseline pays what the seed paid per call.
-        std::function<void(void*, cdr::InputStream&)> legacy_decode;
         int priority = -1;
     };
 
@@ -166,11 +137,9 @@ private:
 
     void reader_loop(std::size_t lane);
     void handle_frame(const std::uint8_t* frame, std::size_t size);
-    void handle_frame_legacy(const std::uint8_t* frame, std::size_t size);
 
     core::Application* app_;
     std::string name_;
-    BridgeOptions options_;
     core::Component* component_ = nullptr; // lives in the app's immortal
     std::unique_ptr<net::Transport> wire_;
     mutable std::mutex mu_; ///< guards imports_ (frozen after start()) and
@@ -178,15 +147,15 @@ private:
     std::map<std::string, ImportRoute, std::less<>> imports_;
     std::map<std::string, ExportRoute, std::less<>> exports_;
     /// Request-id route cache, sized at start(). The peer stamps each
-    /// export route's id into the GIOP request_id field (legacy frames
+    /// export route's id into the GIOP request_id field (untagged frames
     /// leave it 0); repeat traffic resolves with an array index and one
     /// name check instead of a map lookup. Lock-free publish/lookup so
     /// reactor loop threads and reader threads can share it — see
     /// remote/route_cache.hpp for the memory-order argument.
     RouteIdCache<ImportRoute> id_cache_;
     std::uint32_t next_export_id_ = 0; ///< ids start at 1; 0 = untagged
-    /// One blocking reader per lane (kThreadPerWire); one entry on a
-    /// plain single-wire transport.
+    /// One blocking reader per lane when the wire has no reactor hook; one
+    /// entry on a plain single-wire transport.
     std::vector<std::unique_ptr<rt::RtThread>> readers_;
     net::Reactor* reactor_ = nullptr;  ///< resolved at start()
     /// Reactor wire ids, one per lane, each pinned to the loop of its

@@ -226,7 +226,11 @@ TEST_F(ApplicationTest, CounterSourceRemovalRacesTraceReport) {
     // remove_counter_source must block until any in-flight trace_report is
     // done with the callback, so an owner can free captured state right
     // after removal. Hammer report/remove/re-add from two threads while the
-    // callbacks read through a pointer that removal invalidates.
+    // callbacks read through a pointer that removal invalidates. Rounds
+    // continue until the reporter has completed kMinReports reports, so
+    // the two threads really overlap even when the reporter starts late.
+    constexpr int kMinRounds = 200;
+    constexpr int kMinReports = 50;
     core::Application app("race");
     std::atomic<bool> stop{false};
     std::atomic<int> reports{0};
@@ -243,7 +247,10 @@ TEST_F(ApplicationTest, CounterSourceRemovalRacesTraceReport) {
         }
     });
 
-    for (int round = 0; round < 200; ++round) {
+    for (int round = 0;
+         round < kMinRounds || reports.load(std::memory_order_relaxed) <
+                                   kMinReports;
+         ++round) {
         auto counted = std::make_unique<std::uint64_t>(7);
         const std::uint64_t token =
             app.add_counter_source([raw = counted.get()] {

@@ -48,6 +48,13 @@ struct Rule {
     bool allowed_no_heap;  // with NoHeapRealtimeThread semantics
 };
 
+// Without this, gtest prints a Rule as raw bytes, which include the string
+// literals' addresses, so every run of the binary would name its cases
+// differently.
+void PrintTo(const Rule& rule, std::ostream* os) {
+    *os << rule.from << " -> " << rule.to;
+}
+
 // Table 1 of the paper, completed with the diagonal (same-region access is
 // trivially legal) and the no-heap column from the table's caption.
 constexpr Rule kTable1[] = {

@@ -198,16 +198,6 @@ TEST(LaneGroup, PerLanePoolsAreDistinctAndServeInboundFrames) {
     pair.server->close();
 }
 
-TEST(LaneGroup, GlobalPoolWhenPerLanePoolsOff) {
-    net::LaneGroupOptions options;
-    options.per_lane_pools = false;
-    GroupPair pair(options);
-    EXPECT_EQ(&pair.client->pool_for_band(0), &net::FrameBufferPool::global());
-    EXPECT_EQ(&pair.client->pool_for_band(1), &net::FrameBufferPool::global());
-    pair.client->close();
-    pair.server->close();
-}
-
 // The deterministic-close regression: frames queued on a backed-up lane
 // must be delivered — not dropped by the close — and only then may the
 // peer see any lane's FIN. Small socket buffers and a reader that starts

@@ -363,29 +363,6 @@ TEST(ShmZeroCopy, ReceiveBorrowsArenaViews) {
     pair.client->close();
 }
 
-TEST(ShmZeroCopy, CopyModeStillDeliversPooledFrames) {
-    net::ShmOptions opts;
-    opts.borrowed_frames = false;
-    NegotiatedPair pair = negotiate(opts);
-    ASSERT_TRUE(pair.client_shm);
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        pair.client->send_frame(data_frame(i));
-    }
-    for (std::uint32_t i = 0; i < 4; ++i) {
-        const auto f = pair.server->recv_frame();
-        ASSERT_TRUE(f.has_value());
-        EXPECT_FALSE(f->borrowed());
-        EXPECT_EQ(frame_seq(*f), i);
-    }
-    auto* shm = dynamic_cast<net::ShmTransport*>(pair.server.get());
-    ASSERT_NE(shm, nullptr);
-    const net::ShmCounters c = shm->counters();
-    EXPECT_EQ(c.rx_copies, 4u);
-    EXPECT_EQ(c.rx_borrowed, 0u);
-    EXPECT_EQ(c.rx_pin_stalls, 0u); // copies by policy, not backpressure
-    pair.client->close();
-}
-
 TEST(ShmZeroCopy, PinBudgetFallsBackToCopies) {
     net::ShmOptions opts;
     opts.ring_capacity = 8;

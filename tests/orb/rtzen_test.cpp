@@ -153,10 +153,10 @@ TEST(RtzenOrb, OnewayInvocationDelivers) {
     pair.server.register_servant(
         "Logger", [&](const std::string&, const std::uint8_t*, std::size_t,
                       std::vector<std::uint8_t>&) {
-            {
-                std::lock_guard lk(mu);
-                ++calls;
-            }
+            // Notify under the mutex: the waiting test body owns mu/cv on
+            // its stack and may destroy them as soon as it sees the count.
+            std::lock_guard lk(mu);
+            ++calls;
             cv.notify_all();
             return true;
         });

@@ -69,9 +69,8 @@ def headline(doc):
             )
         sizes = doc.get("sizes", [])
         fast = sizes[0].get("fast", {}) if sizes else {}
-        detail = "allocs/msg %.2f, p50 vs legacy %+.1f%%" % (
-            doc.get("allocs_per_message_steady_state", -1),
-            doc.get("improvement_p50_32B_pct", 0),
+        detail = "allocs/msg %.2f" % doc.get(
+            "allocs_per_message_steady_state", -1
         )
         if "shm" in doc:
             detail += ", shm upgrade FAILED"
@@ -222,7 +221,8 @@ def extra_rows(base, doc):
     """(rows, notes) beyond the headline for benches with sub-rungs.
 
     remote_roundtrip's co-located run carries a zero-copy payload sweep and
-    a 2-band interference rung; fanin_roundtrip and lane_interference carry
+    a 2-band interference rung (older remote artifacts also carry the
+    retired legacy-wire and copy-out comparisons, noted but not shown); fanin_roundtrip and lane_interference carry
     an epoll-vs-uring backend comparison. Each gets its own row so the
     trajectory of both is visible without opening the JSON. Older artifacts
     that predate those fields get a note, never an error — the trend table
@@ -236,6 +236,12 @@ def extra_rows(base, doc):
         return lane_backend_rows(base, doc)
     if doc.get("benchmark") != "remote_roundtrip":
         return rows, notes
+    if "improvement_p50_32B_pct" in doc:
+        notes.append(
+            "note: %s carries the retired legacy-wire comparison (p50 vs "
+            "legacy %+.1f%%); the bench no longer runs that path"
+            % (base, doc["improvement_p50_32B_pct"])
+        )
     shm = doc.get("shm", {})
     if not shm.get("upgraded"):
         return rows, notes
@@ -249,9 +255,13 @@ def extra_rows(base, doc):
                     "  sweep@%sB" % entry.get("payload_bytes", "?"),
                     us(zc.get("median_ns")),
                     us(zc.get("p99_ns")),
-                    "zero-copy rx vs copy-out: paired p50 %+.1f%%"
-                    % entry.get("paired_improvement_pct", 0),
+                    "zero-copy rx",
                 )
+            )
+        if any("copying" in entry for entry in sweep):
+            notes.append(
+                "note: %s sweep carries the retired copy-out comparison; "
+                "only zero-copy rows are shown" % base
             )
     else:
         notes.append(
