@@ -32,7 +32,6 @@
 #include "net/frame_pool.hpp"
 #include "net/reactor.hpp"
 #include "net/tcp.hpp"
-#include "net/uring.hpp"
 
 #include <sys/resource.h>
 
@@ -163,12 +162,9 @@ private:
 };
 
 /// Echo server, reactor flavor: every wire in one bounded loop pool.
-/// The options knob selects the loop backend (epoll vs io_uring) for the
-/// backend-comparison rungs; the default keeps the portable epoll pool.
 class ReactorEcho {
 public:
-    explicit ReactorEcho(WireFarm& farm, net::ReactorOptions options = {})
-        : reactor_(options) {
+    explicit ReactorEcho(WireFarm& farm) {
         ids_.reserve(farm.servers.size());
         for (auto& wire : farm.servers) {
             net::Transport* w = wire.get();
@@ -191,27 +187,6 @@ private:
     net::Reactor reactor_; // default pool: min(4, hw) or the env override
     std::vector<std::uint64_t> ids_;
 };
-
-/// One backend's leg of the epoll-vs-uring comparison at 64 wires.
-struct BackendLeg {
-    rt::StatsSummary lat; ///< per-message round-trip (ns), interleaved
-    double loop_syscalls_per_frame = 0.0;  ///< reactor waits+reads / frame
-    double server_send_syscalls_per_frame = 0.0; ///< echo-side sendmsg rate
-    double allocs_per_message = -1.0;
-    std::uint64_t frames_assembled = 0;
-    std::uint64_t wait_syscalls = 0;
-    std::uint64_t read_syscalls = 0;
-    std::uint64_t send_sqes = 0;
-};
-
-struct BackendCompare {
-    bool ran = false; ///< false: kernel denies io_uring, rung skipped
-    BackendLeg epoll;
-    BackendLeg uring;
-};
-
-BackendCompare run_backend_compare(std::size_t rounds, std::size_t warmup);
-
 
 struct RungResult {
     rt::StatsSummary stats; ///< per-message round-trip latency (ns)
@@ -374,92 +349,6 @@ GatedTriple run_gated_triple(std::size_t rounds, std::size_t warmup) {
     return triple;
 }
 
-/// The PR-10 gate rung: the same 64-wire echo assembly twice — once on
-/// the epoll pool, once on the io_uring pool — with rounds interleaved
-/// so scheduler drift hits both legs alike (same discipline as the
-/// thread-per-wire gated triple). Latency must not regress and the
-/// syscalls-per-frame metrics must drop on both directions.
-BackendCompare run_backend_compare(std::size_t rounds, std::size_t warmup) {
-    BackendCompare out;
-    if (!net::uring_available()) return out;
-
-    WireFarm farm_e(64);
-    net::ReactorOptions epoll_opts;
-    epoll_opts.backend = net::ReactorBackend::kEpoll;
-    ReactorEcho echo_e(farm_e, epoll_opts);
-    WireFarm farm_u(64);
-    net::ReactorOptions uring_opts;
-    uring_opts.backend = net::ReactorBackend::kUring;
-    uring_opts.uring_buffers = 256; // 64 wires share the provided ring
-    ReactorEcho echo_u(farm_u, uring_opts);
-    if (std::strcmp(echo_u.reactor().backend_name(), "uring") != 0) {
-        // Probe passed but a loop still fell back (seccomp on a later
-        // feature): treat as unavailable rather than comparing epoll to
-        // itself.
-        echo_u.stop(farm_u);
-        echo_e.stop(farm_e);
-        for (auto& c : farm_e.clients) c->close();
-        for (auto& c : farm_u.clients) c->close();
-        return out;
-    }
-    out.ran = true;
-
-    const std::vector<std::uint8_t> request = make_request(kPayload);
-    rt::StatsRecorder rec_e(rounds);
-    rt::StatsRecorder rec_u(rounds);
-    std::uint64_t allocs_e = 0, allocs_u = 0, messages = 0;
-    for (std::size_t i = 0; i < warmup + rounds; ++i) {
-        const std::uint64_t a0 = g_allocs.load();
-        const std::int64_t e = run_round(farm_e, request);
-        const std::uint64_t a1 = g_allocs.load();
-        const std::int64_t u = run_round(farm_u, request);
-        const std::uint64_t a2 = g_allocs.load();
-        if (e < 0 || u < 0) break;
-        if (i >= warmup) {
-            rec_e.record(e);
-            rec_u.record(u);
-            allocs_e += a1 - a0;
-            allocs_u += a2 - a1;
-            messages += 64 * kBurst;
-        }
-    }
-
-    auto finish = [messages](ReactorEcho& echo, WireFarm& farm,
-                             rt::StatsRecorder& rec, std::uint64_t allocs) {
-        BackendLeg leg;
-        leg.lat = rec.summarize();
-        const net::ReactorStats rs = echo.reactor().stats();
-        leg.frames_assembled = rs.frames_assembled;
-        leg.wait_syscalls = rs.wait_syscalls;
-        leg.read_syscalls = rs.read_syscalls;
-        leg.send_sqes = rs.send_sqes;
-        leg.loop_syscalls_per_frame = rs.loop_syscalls_per_frame();
-        std::uint64_t sent = 0, syscalls = 0;
-        for (auto& s : farm.servers) {
-            const net::TransportStats st = s->stats();
-            sent += st.frames_sent;
-            syscalls += st.send_syscalls;
-        }
-        leg.server_send_syscalls_per_frame =
-            sent > 0 ? static_cast<double>(syscalls) /
-                           static_cast<double>(sent)
-                     : -1.0;
-        leg.allocs_per_message =
-            messages > 0 ? static_cast<double>(allocs) /
-                               static_cast<double>(messages * 2)
-                         : -1.0;
-        return leg;
-    };
-    out.epoll = finish(echo_e, farm_e, rec_e, allocs_e);
-    out.uring = finish(echo_u, farm_u, rec_u, allocs_u);
-
-    echo_u.stop(farm_u);
-    echo_e.stop(farm_e);
-    for (auto& c : farm_e.clients) c->close();
-    for (auto& c : farm_u.clients) c->close();
-    return out;
-}
-
 struct BurstResult {
     double syscalls_per_frame = 0.0;
     std::uint64_t frames = 0;
@@ -597,27 +486,6 @@ int main(int argc, char** argv) {
                 static_cast<double>(gated.tpw8.median) / 1000.0,
                 static_cast<double>(gated.tpw8.p99) / 1000.0);
 
-    const BackendCompare backends = run_backend_compare(rounds, warmup);
-    if (backends.ran) {
-        std::printf(
-            "backends (interleaved, 64 wires): "
-            "uring p50 %.2f us / p99 %.2f us, %.4f loop syscalls/frame, "
-            "%.4f server sendmsg/frame vs "
-            "epoll p50 %.2f us / p99 %.2f us, %.4f loop syscalls/frame, "
-            "%.4f server sendmsg/frame\n",
-            static_cast<double>(backends.uring.lat.median) / 1000.0,
-            static_cast<double>(backends.uring.lat.p99) / 1000.0,
-            backends.uring.loop_syscalls_per_frame,
-            backends.uring.server_send_syscalls_per_frame,
-            static_cast<double>(backends.epoll.lat.median) / 1000.0,
-            static_cast<double>(backends.epoll.lat.p99) / 1000.0,
-            backends.epoll.loop_syscalls_per_frame,
-            backends.epoll.server_send_syscalls_per_frame);
-    } else {
-        std::printf("backends: kernel denies io_uring — epoll-vs-uring rung "
-                    "skipped (gates vacuously pass)\n");
-    }
-
     const BurstResult burst = run_reactor_burst();
     std::printf("reactor-mode burst: %.3f syscalls/frame (max batch %llu, "
                 "%llu writable events)\n",
@@ -649,35 +517,6 @@ int main(int argc, char** argv) {
                      static_cast<long long>(gated.tpw64.p99),
                      static_cast<long long>(gated.tpw8.median),
                      static_cast<long long>(gated.tpw8.p99));
-        if (backends.ran) {
-            auto emit_leg = [f](const char* name, const BackendLeg& leg,
-                                bool last) {
-                std::fprintf(
-                    f,
-                    "    \"%s\": {\"p50_ns\": %lld, \"p99_ns\": %lld, "
-                    "\"loop_syscalls_per_frame\": %.4f, "
-                    "\"server_send_syscalls_per_frame\": %.4f, "
-                    "\"allocs_per_message\": %.4f, \"frames_assembled\": "
-                    "%llu, \"wait_syscalls\": %llu, \"read_syscalls\": %llu, "
-                    "\"send_sqes\": %llu}%s\n",
-                    name, static_cast<long long>(leg.lat.median),
-                    static_cast<long long>(leg.lat.p99),
-                    leg.loop_syscalls_per_frame,
-                    leg.server_send_syscalls_per_frame, leg.allocs_per_message,
-                    static_cast<unsigned long long>(leg.frames_assembled),
-                    static_cast<unsigned long long>(leg.wait_syscalls),
-                    static_cast<unsigned long long>(leg.read_syscalls),
-                    static_cast<unsigned long long>(leg.send_sqes),
-                    last ? "" : ",");
-            };
-            std::fprintf(f, "  \"backend_compare\": {\n    \"wires\": 64,\n");
-            emit_leg("epoll", backends.epoll, false);
-            emit_leg("uring", backends.uring, true);
-            std::fprintf(f, "  },\n");
-        } else {
-            std::fprintf(f, "  \"backend_compare\": {\"skipped\": "
-                            "\"io_uring unavailable\"},\n");
-        }
         std::fprintf(f, "  \"allocs_per_message_steady_state\": %.4f,\n",
                      reactor64.allocs_per_message);
         std::fprintf(f,
@@ -767,69 +606,6 @@ int main(int argc, char** argv) {
                          static_cast<long long>(p99_bound),
                          static_cast<long long>(gated.tpw8.p99),
                          static_cast<long long>(gated.tpw64.p99));
-            ok = false;
-        }
-    }
-    // Gate 5 (only where the kernel grants io_uring; skipping is a pass —
-    // epoll stays the portable default): at 64 wires the uring backend
-    // must (a) hold p50/p99 within the same 5% noise band of epoll,
-    // (b) make strictly fewer loop-side syscalls per frame (multishot
-    // recv replaces the read pump), (c) make strictly fewer write-side
-    // syscalls per echoed frame (gather-send SQEs replace sendmsg), and
-    // (d) preserve the zero-allocation steady state. Latency binds on
-    // full plain runs only; the syscall ratios are deterministic enough
-    // to bind everywhere.
-    if (backends.ran) {
-        if (!smoke && !COMPADRES_UNDER_SANITIZER) {
-            // Unlike the reactor-vs-thread-per-wire gate (where the two
-            // sides differ by 2x), the backends are designed to tie on
-            // latency — the win is syscalls. Two near-identical
-            // distributions make a tight p99 band a coin flip on a
-            // single-core box (one preemption in the tail decides it),
-            // so the median binds at 5% and the tail at 20%.
-            if (backends.uring.lat.median >
-                backends.epoll.lat.median + backends.epoll.lat.median / 20) {
-                std::fprintf(stderr,
-                             "FAIL: uring p50 at 64 wires (%lld ns) exceeds "
-                             "epoll p50 (%lld ns) + 5%%\n",
-                             static_cast<long long>(backends.uring.lat.median),
-                             static_cast<long long>(backends.epoll.lat.median));
-                ok = false;
-            }
-            if (backends.uring.lat.p99 >
-                backends.epoll.lat.p99 + backends.epoll.lat.p99 / 5) {
-                std::fprintf(stderr,
-                             "FAIL: uring p99 at 64 wires (%lld ns) exceeds "
-                             "epoll p99 (%lld ns) + 20%%\n",
-                             static_cast<long long>(backends.uring.lat.p99),
-                             static_cast<long long>(backends.epoll.lat.p99));
-                ok = false;
-            }
-        }
-        if (backends.uring.loop_syscalls_per_frame >=
-            backends.epoll.loop_syscalls_per_frame) {
-            std::fprintf(stderr,
-                         "FAIL: uring loop syscalls/frame (%.4f) not below "
-                         "epoll (%.4f)\n",
-                         backends.uring.loop_syscalls_per_frame,
-                         backends.epoll.loop_syscalls_per_frame);
-            ok = false;
-        }
-        if (backends.uring.server_send_syscalls_per_frame >=
-            backends.epoll.server_send_syscalls_per_frame) {
-            std::fprintf(stderr,
-                         "FAIL: uring server sendmsg/frame (%.4f) not below "
-                         "epoll (%.4f)\n",
-                         backends.uring.server_send_syscalls_per_frame,
-                         backends.epoll.server_send_syscalls_per_frame);
-            ok = false;
-        }
-        if (!COMPADRES_UNDER_SANITIZER &&
-            backends.uring.allocs_per_message != 0.0) {
-            std::fprintf(stderr,
-                         "FAIL: uring echo path allocated %.4f times per "
-                         "message in steady state (want 0)\n",
-                         backends.uring.allocs_per_message);
             ok = false;
         }
     }

@@ -34,9 +34,7 @@
 #include "cdr/giop.hpp"
 #include "net/frame_pool.hpp"
 #include "net/lane_group.hpp"
-#include "net/reactor.hpp"
 #include "net/tcp.hpp"
-#include "net/uring.hpp"
 
 #include <atomic>
 #include <condition_variable>
@@ -367,151 +365,6 @@ private:
     std::optional<BulkStream> bulk_;
 };
 
-/// LaneRig with the server's echo loop inverted into a reactor: every
-/// server lane registers with one loop pool (band i pins lane i), so the
-/// echo path exercises the loop backend under the same urgent-vs-bulk
-/// pressure. Parameterized by ReactorOptions for the epoll-vs-uring rung.
-class ReactorLaneRig {
-public:
-    ReactorLaneRig(bool contended, net::ReactorOptions options)
-        : urgent_frame_(make_request(kUrgentPayload, 0)),
-          bulk_frame_(make_request(kBulkPayload, 1)) {
-        net::LaneGroupOptions opts;
-        opts.bands = 2;
-        net::LaneAcceptor acceptor(0, opts);
-        std::unique_ptr<net::LaneGroup> server;
-        std::thread accept_thread([&] { server = acceptor.accept(); });
-        client_ = net::lane_connect("127.0.0.1", acceptor.bound_port(), opts);
-        accept_thread.join();
-        server_ = std::move(server);
-
-        reactor_ = std::make_unique<net::Reactor>(options);
-        for (std::size_t i = 0; i < server_->lane_count(); ++i) {
-            net::Transport* lane = &server_->lane(i);
-            ids_.push_back(reactor_->register_wire(
-                *lane,
-                [lane](net::FrameBuffer f) { lane->send_frame(std::move(f)); },
-                {}, static_cast<int>(i)));
-        }
-        if (contended) bulk_.emplace(*client_, bulk_frame_);
-        bulk_drain_ = std::thread([this] {
-            try {
-                while (client_->lane(1).recv_frame().has_value()) {
-                    if (bulk_.has_value()) bulk_->note_echo();
-                }
-            } catch (const net::TransportError&) {
-            }
-        });
-    }
-
-    void prewarm() {
-        for (auto* group : {client_.get(), server_.get()}) {
-            group->pool_for_band(0).prewarm(512, 256);
-            group->pool_for_band(1).prewarm(kBulkPayload + 512, 192);
-        }
-    }
-
-    std::int64_t urgent_rt() {
-        const std::int64_t t0 = rt::now_ns();
-        client_->send_frame(urgent_frame_);
-        if (!client_->lane(0).recv_frame().has_value()) return -1;
-        return rt::now_ns() - t0;
-    }
-
-    net::Reactor& reactor() { return *reactor_; }
-
-    void stop() {
-        if (bulk_.has_value()) bulk_->stop();
-        for (std::uint64_t id : ids_) reactor_->deregister_wire(id);
-        client_->close();
-        server_->close();
-        if (bulk_drain_.joinable()) bulk_drain_.join();
-    }
-
-private:
-    const std::vector<std::uint8_t> urgent_frame_;
-    const std::vector<std::uint8_t> bulk_frame_;
-    std::unique_ptr<net::LaneGroup> client_;
-    std::unique_ptr<net::LaneGroup> server_;
-    std::unique_ptr<net::Reactor> reactor_; ///< dies before the lanes it pins
-    std::vector<std::uint64_t> ids_;
-    std::thread bulk_drain_;
-    std::optional<BulkStream> bulk_;
-};
-
-/// One backend's legs of the epoll-vs-uring lane rung.
-struct LaneBackendLeg {
-    rt::StatsSummary uncontended;
-    rt::StatsSummary contended;
-    double loop_syscalls_per_frame = 0.0; ///< contended rig's reactor
-};
-
-struct LaneBackendCompare {
-    bool ran = false; ///< false: kernel denies io_uring, rung skipped
-    LaneBackendLeg epoll;
-    LaneBackendLeg uring;
-};
-
-/// The PR-10 lane rung: urgent-vs-bulk through reactor-served lane
-/// groups on both backends at once, rounds interleaved four ways so
-/// drift cancels. Lane isolation must survive the backend swap and the
-/// uring loops must do the same work in fewer syscalls.
-LaneBackendCompare run_backend_compare(std::size_t rounds,
-                                       std::size_t warmup) {
-    LaneBackendCompare out;
-    if (!net::uring_available()) return out;
-
-    // One loop per band: band pinning (band % thread_count) is what keeps
-    // bulk's pump from head-of-line-blocking urgent's — with a single
-    // loop both lanes would share it and isolation would be lost by
-    // construction, on either backend.
-    net::ReactorOptions epoll_opts;
-    epoll_opts.threads = 2;
-    epoll_opts.backend = net::ReactorBackend::kEpoll;
-    net::ReactorOptions uring_opts;
-    uring_opts.threads = 2;
-    uring_opts.backend = net::ReactorBackend::kUring;
-    ReactorLaneRig e_unc(/*contended=*/false, epoll_opts);
-    ReactorLaneRig e_con(/*contended=*/true, epoll_opts);
-    ReactorLaneRig u_unc(/*contended=*/false, uring_opts);
-    ReactorLaneRig u_con(/*contended=*/true, uring_opts);
-    if (std::strcmp(u_con.reactor().backend_name(), "uring") != 0) {
-        // Probe passed but the loops still fell back: skip rather than
-        // compare epoll to itself.
-        for (auto* rig : {&u_con, &u_unc, &e_con, &e_unc}) rig->stop();
-        return out;
-    }
-    out.ran = true;
-    for (auto* rig : {&e_unc, &e_con, &u_unc, &u_con}) rig->prewarm();
-
-    rt::StatsRecorder rec_e_unc(rounds), rec_e_con(rounds);
-    rt::StatsRecorder rec_u_unc(rounds), rec_u_con(rounds);
-    for (std::size_t i = 0; i < warmup + rounds; ++i) {
-        const std::int64_t t_e_unc = e_unc.urgent_rt();
-        const std::int64_t t_e_con = e_con.urgent_rt();
-        const std::int64_t t_u_unc = u_unc.urgent_rt();
-        const std::int64_t t_u_con = u_con.urgent_rt();
-        if (t_e_unc < 0 || t_e_con < 0 || t_u_unc < 0 || t_u_con < 0) break;
-        if (i >= warmup) {
-            rec_e_unc.record(t_e_unc);
-            rec_e_con.record(t_e_con);
-            rec_u_unc.record(t_u_unc);
-            rec_u_con.record(t_u_con);
-        }
-    }
-    out.epoll.uncontended = rec_e_unc.summarize();
-    out.epoll.contended = rec_e_con.summarize();
-    out.epoll.loop_syscalls_per_frame =
-        e_con.reactor().stats().loop_syscalls_per_frame();
-    out.uring.uncontended = rec_u_unc.summarize();
-    out.uring.contended = rec_u_con.summarize();
-    out.uring.loop_syscalls_per_frame =
-        u_con.reactor().stats().loop_syscalls_per_frame();
-
-    for (auto* rig : {&u_con, &u_unc, &e_con, &e_unc}) rig->stop();
-    return out;
-}
-
 struct BurstResult {
     double syscalls_per_frame = 0.0;
     std::uint64_t frames = 0;
@@ -668,29 +521,6 @@ int main(int argc, char** argv) {
     std::printf("steady state: %.4f allocs per urgent message\n",
                 allocs_per_message);
 
-    const LaneBackendCompare backends = run_backend_compare(rounds, warmup);
-    if (backends.ran) {
-        std::printf(
-            "reactor-served lanes (interleaved): "
-            "uring urgent p50 %.2f us / p99 %.2f us contended "
-            "(%.2f us / %.2f us clean, %.4f loop syscalls/frame) vs "
-            "epoll %.2f us / %.2f us contended "
-            "(%.2f us / %.2f us clean, %.4f loop syscalls/frame)\n",
-            static_cast<double>(backends.uring.contended.median) / 1000.0,
-            static_cast<double>(backends.uring.contended.p99) / 1000.0,
-            static_cast<double>(backends.uring.uncontended.median) / 1000.0,
-            static_cast<double>(backends.uring.uncontended.p99) / 1000.0,
-            backends.uring.loop_syscalls_per_frame,
-            static_cast<double>(backends.epoll.contended.median) / 1000.0,
-            static_cast<double>(backends.epoll.contended.p99) / 1000.0,
-            static_cast<double>(backends.epoll.uncontended.median) / 1000.0,
-            static_cast<double>(backends.epoll.uncontended.p99) / 1000.0,
-            backends.epoll.loop_syscalls_per_frame);
-    } else {
-        std::printf("reactor-served lanes: kernel denies io_uring — "
-                    "epoll-vs-uring rung skipped (gates vacuously pass)\n");
-    }
-
     const BurstResult burst = run_urgent_burst();
     std::printf("urgent-lane burst: %.3f syscalls/frame over %llu frames "
                 "(max batch %llu)\n",
@@ -735,29 +565,6 @@ int main(int argc, char** argv) {
                      (unsigned long long)con_lane1.frames_sent,
                      (unsigned long long)con_lane1.send_stalls,
                      (unsigned long long)con_lane1.intake_depth_hwm);
-        if (backends.ran) {
-            auto emit_backend = [f](const char* name,
-                                    const LaneBackendLeg& leg, bool last) {
-                std::fprintf(
-                    f,
-                    "    \"%s\": {\"uncontended_p50_ns\": %lld, "
-                    "\"uncontended_p99_ns\": %lld, \"contended_p50_ns\": "
-                    "%lld, \"contended_p99_ns\": %lld, "
-                    "\"loop_syscalls_per_frame\": %.4f}%s\n",
-                    name, static_cast<long long>(leg.uncontended.median),
-                    static_cast<long long>(leg.uncontended.p99),
-                    static_cast<long long>(leg.contended.median),
-                    static_cast<long long>(leg.contended.p99),
-                    leg.loop_syscalls_per_frame, last ? "" : ",");
-            };
-            std::fprintf(f, "  \"backends\": {\n");
-            emit_backend("epoll", backends.epoll, false);
-            emit_backend("uring", backends.uring, true);
-            std::fprintf(f, "  },\n");
-        } else {
-            std::fprintf(f, "  \"backends\": {\"skipped\": "
-                            "\"io_uring unavailable\"},\n");
-        }
         std::fprintf(f, "  \"allocs_per_message_steady_state\": %.4f,\n",
                      allocs_per_message);
         std::fprintf(f,
@@ -838,36 +645,6 @@ int main(int argc, char** argv) {
                          static_cast<long long>(s_sw_con.median),
                          static_cast<long long>(s_sw_unc.median));
             ok = false;
-        }
-    }
-    // Gate 5 (only where the kernel grants io_uring; skipping is a pass):
-    // the uring loops must do the contended echo work in strictly fewer
-    // syscalls per frame than epoll, and — full plain runs only — lane
-    // isolation must survive the backend swap: uring's contended urgent
-    // p99 within 1.5x of its own uncontended p99, the same bound the
-    // epoll lanes are held to in gate 4.
-    if (backends.ran) {
-        if (backends.uring.loop_syscalls_per_frame >=
-            backends.epoll.loop_syscalls_per_frame) {
-            std::fprintf(stderr,
-                         "FAIL: uring loop syscalls/frame (%.4f) not below "
-                         "epoll (%.4f) on the contended lane rig\n",
-                         backends.uring.loop_syscalls_per_frame,
-                         backends.epoll.loop_syscalls_per_frame);
-            ok = false;
-        }
-        if (!smoke && !COMPADRES_UNDER_SANITIZER) {
-            const std::int64_t unc = backends.uring.uncontended.p99;
-            if (backends.uring.contended.p99 > unc + unc / 2) {
-                std::fprintf(stderr,
-                             "FAIL: uring-served lanes lost isolation — "
-                             "contended urgent p99 (%lld ns) exceeds 1.5x "
-                             "uncontended p99 (%lld ns)\n",
-                             static_cast<long long>(
-                                 backends.uring.contended.p99),
-                             static_cast<long long>(unc));
-                ok = false;
-            }
         }
     }
     std::printf("%s\n", ok ? "lane gates PASSED" : "lane gates FAILED");

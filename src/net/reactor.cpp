@@ -1,15 +1,11 @@
 #include "net/reactor.hpp"
 
 #include "cdr/giop.hpp"
-#include "net/uring.hpp"
 #include "rt/thread.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
 #include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -39,19 +35,6 @@ std::size_t resolve_threads(std::size_t requested) {
     return cap < 4 ? cap : 4;
 }
 
-ReactorBackend resolve_backend(ReactorBackend requested) {
-    if (requested != ReactorBackend::kDefault) return requested;
-    if (const char* env = std::getenv("COMPADRES_REACTOR_BACKEND")) {
-        if (std::strcmp(env, "uring") == 0) return ReactorBackend::kUring;
-        if (std::strcmp(env, "epoll") == 0) return ReactorBackend::kEpoll;
-    }
-#ifdef COMPADRES_URING_DEFAULT
-    return ReactorBackend::kUring;
-#else
-    return ReactorBackend::kEpoll;
-#endif
-}
-
 /// One registered descriptor plus its incremental inbound-frame state.
 /// Owned by exactly one loop; touched only on that loop's thread.
 struct Wire {
@@ -69,33 +52,19 @@ struct Wire {
     std::size_t frame_got = 0;   ///< bytes of `frame` filled (incl. header)
     std::size_t frame_total = 0; ///< header + body target size
 
-    // Epoll read staging: each refill pulls up to a scratch-full in one
-    // read() and the state machine consumes it in memory, so small frames
-    // cost one syscall instead of header-read + body-read + EAGAIN-read.
-    // Sized by EpollBackend::add; stays empty on the uring backend (its
-    // staging is the loop's provided-buffer chunks).
+    // Read staging: each refill pulls up to a scratch-full in one read()
+    // and the state machine consumes it in memory, so small frames cost
+    // one syscall instead of header-read + body-read + EAGAIN-read. Sized
+    // when the wire joins its loop.
     std::vector<std::uint8_t> scratch;
 
-    bool want_writable = false; ///< write-ready armed and not yet delivered
-
-    // Uring-only state, loop-thread owned.
-    msghdr send_mh{};            ///< stable msghdr a gather-send SQE points at
-    bool recv_armed = false;     ///< multishot recv SQE in flight
-    bool send_inflight = false;  ///< gather-send SQE in flight
-    bool pollout_inflight = false; ///< POLL_ADD(POLLOUT) SQE in flight
-    bool cork_marked = false;    ///< corked for the current CQE cycle
+    bool want_writable = false; ///< EPOLLOUT armed and not yet delivered
 };
 
-/// Per-wire epoll read staging capacity. Big enough to swallow a typical
+/// Per-wire read staging capacity. Big enough to swallow a typical
 /// wakeup's worth of small frames in one syscall, small enough that a
 /// 64-wire fan-in stages ~1 MiB total.
 constexpr std::size_t kScratchBytes = 16 * 1024;
-
-/// Uring provided-buffer chunk size: exactly the frame pool's 4 KiB size
-/// class, so the loop's receive staging recycles through one pool ring.
-constexpr std::size_t kUringChunkBytes = 4096;
-constexpr unsigned kDefaultUringBuffers = 64;
-constexpr unsigned kDefaultUringEntries = 256;
 
 /// Read-side interest. EPOLLRDHUP rides along so an event that coalesced
 /// data with the peer's FIN is distinguishable: the short-read fast exit
@@ -130,55 +99,22 @@ struct Command {
     Completion* completion = nullptr; ///< kRemove handshake
 };
 
-/// The epoll-vs-uring split. One backend per loop, owned by the loop,
-/// driven only on the loop's thread (run() IS the loop thread). The
-/// backend owns descriptor-level readiness/completion plumbing; the Loop
-/// keeps everything backend-neutral: the command queue and its eventfd
-/// doorbell, the wire table, GIOP frame assembly, corking semantics, and
-/// stats. The contract per method:
-///
-///   add        — attach the wire's descriptor; false = unusable
-///                descriptor (the loop accounts a wire_add_failure and
-///                fires on_closed).
-///   remove     — flush-or-park the transport's pending output and fully
-///                detach the descriptor; after return the backend holds
-///                no reference to the wire (io_uring must cancel and
-///                drain in-flight SQEs here, or the kernel's file refs
-///                outlive the transport).
-///   arm_write  — deliver exactly one write-ready notification once the
-///                descriptor accepts bytes again (edge semantics).
-///   poke       — manufacture a write-ready delivery without marking the
-///                wire as wanting one (the spurious-wakeup test seam).
-class LoopBackend {
-public:
-    virtual ~LoopBackend() = default;
-    virtual const char* name() const noexcept = 0;
-    virtual void run() = 0;
-    virtual bool add(Wire& w) = 0;
-    virtual void remove(Wire& w) = 0;
-    virtual void arm_write(Wire& w) = 0;
-    virtual void poke(Wire& w) = 0;
-};
-
 } // namespace
 
-/// One event loop: the command ring (eventfd doorbell + queue), the wires
-/// assigned to this thread, frame assembly, and a pluggable LoopBackend
-/// that waits for readiness/completions. All descriptor mutations happen
-/// on the loop thread itself (commands are posted, not applied in place),
-/// so backend bookkeeping never races its wait call.
+/// One event loop: an epoll instance, the command ring (eventfd doorbell
+/// + queue, registered as interest id 0), the wires assigned to this
+/// thread, and their frame assembly. All descriptor mutations happen on
+/// the loop thread itself (commands are posted, not applied in place), so
+/// interest changes never race the epoll_wait.
 class Reactor::Loop {
 public:
     enum class PumpResult { kIdle, kClosed };
 
-    /// Throws TransportError when the eventfd/backend plumbing cannot be
+    /// Throws TransportError when the eventfd/epoll plumbing cannot be
     /// set up: a loop whose wait would fail on the first cycle silently
     /// accepts wires and never delivers a frame, so the failure must
-    /// surface at construction, not as a dead pool. A kUring request
-    /// whose io_uring setup fails is not fatal — it falls back to epoll,
-    /// recorded in uring_fallbacks.
-    Loop(std::size_t index, const ReactorOptions& options,
-         ReactorBackend kind);
+    /// surface at construction, not as a dead pool.
+    explicit Loop(std::size_t index);
     ~Loop();
 
     void add_wire(std::unique_ptr<Wire> wire) {
@@ -245,20 +181,9 @@ public:
             wire_add_failures_.load(std::memory_order_relaxed);
         out.wait_syscalls += wait_syscalls_.load(std::memory_order_relaxed);
         out.read_syscalls += read_syscalls_.load(std::memory_order_relaxed);
-        out.send_sqes += send_sqes_.load(std::memory_order_relaxed);
-        out.recv_enobufs += recv_enobufs_.load(std::memory_order_relaxed);
-        if (uring_fallback_) ++out.uring_fallbacks;
-        if (is_uring_) ++out.uring_loops;
     }
 
-    bool is_uring() const noexcept { return is_uring_; }
-
-    // ---- services the backends call (loop thread only) ----
-
-    static Loop* current() noexcept { return t_current_loop; }
-
-    int event_fd() const noexcept { return evfd_; }
-
+private:
     Wire* find_wire(std::uint64_t id) {
         auto it = wires_.find(id);
         return it == wires_.end() ? nullptr : it->second.get();
@@ -291,7 +216,9 @@ public:
                 break;
             case Command::Kind::kPoke: {
                 auto it = wires_.find(c.id);
-                if (it != wires_.end()) backend_->poke(*it->second);
+                if (it != wires_.end()) {
+                    mod_interest(*it->second, kReadInterest | EPOLLOUT);
+                }
                 break;
             }
             case Command::Kind::kStop:
@@ -302,7 +229,7 @@ public:
         scratch_.clear();
         if (saw_stop) {
             // Deterministic teardown: flush-or-drop every wire's intake
-            // before its descriptor leaves the backend.
+            // before its descriptor leaves epoll.
             while (!wires_.empty()) do_remove(wires_.begin()->first);
         }
         return saw_stop;
@@ -328,9 +255,8 @@ public:
     }
 
     /// Run `len` inbound bytes through the header/body state machine,
-    /// delivering every frame completed along the way. Backend-neutral:
-    /// the epoll pump feeds it scratch refills, the uring backend feeds
-    /// it provided-buffer chunks. kClosed on a corrupt/oversize header or
+    /// delivering every frame completed along the way (the read pump
+    /// feeds it scratch refills). kClosed on a corrupt/oversize header or
     /// a throwing frame handler.
     PumpResult consume(Wire& w, const std::uint8_t* data, std::size_t len) {
         std::size_t pos = 0;
@@ -376,7 +302,7 @@ public:
         return PumpResult::kIdle;
     }
 
-    /// Edge-triggered read pump (epoll backend): drain the socket,
+    /// Edge-triggered read pump: drain the socket,
     /// handing each completed frame to on_frame. kClosed on EOF
     /// (including EOF mid-frame), read error, oversize/corrupt header, or
     /// a throwing frame handler.
@@ -430,37 +356,17 @@ public:
         }
     }
 
-    /// EOF/error-driven close: detach from the backend, hand any final
+    /// EOF/error-driven close: detach from epoll, hand any final
     /// accounting to the transport via its own close later, then notify
     /// the owner.
     void close_wire(Wire& w) {
-        backend_->remove(w);
+        detach(w);
         wires_closed_.fetch_add(1, std::memory_order_relaxed);
         Reactor::ClosedHandler on_closed = std::move(w.on_closed);
         wires_.erase(w.id); // frees `w`
         if (on_closed) on_closed();
     }
 
-    void note_wakeup() {
-        command_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    }
-    void note_wait_syscall() {
-        wait_syscalls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    void note_send_sqe() {
-        send_sqes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    void note_recv_enobufs() {
-        recv_enobufs_.fetch_add(1, std::memory_order_relaxed);
-    }
-    void note_writable(bool spurious) {
-        writable_events_.fetch_add(1, std::memory_order_relaxed);
-        if (spurious) {
-            spurious_writables_.fetch_add(1, std::memory_order_relaxed);
-        }
-    }
-
-private:
     void post(Command c) {
         bool enqueued = false;
         {
@@ -497,7 +403,55 @@ private:
         // best-effort on kernels without it.
         struct sched_param sp {};
         (void)::sched_setscheduler(0, SCHED_BATCH, &sp);
-        backend_->run();
+        bool stop = false;
+        while (!stop) {
+            const int n = ::epoll_wait(epfd_, events_.data(),
+                                       static_cast<int>(events_.size()), -1);
+            if (n < 0) {
+                if (errno == EINTR) continue;
+                break;
+            }
+            wait_syscalls_.fetch_add(1, std::memory_order_relaxed);
+            for (int i = 0; i < n; ++i) {
+                const epoll_event& ev = events_[i];
+                if (ev.data.u64 == 0) {
+                    command_wakeups_.fetch_add(1, std::memory_order_relaxed);
+                    drain_eventfd();
+                    stop = process_commands() || stop;
+                    continue;
+                }
+                // Look up by id, never by cached pointer: a command
+                // processed earlier in this same batch may have removed
+                // (and freed) the wire this event refers to.
+                Wire* w = find_wire(ev.data.u64);
+                if (w == nullptr) continue;
+                if (ev.events & EPOLLOUT) {
+                    writable_events_.fetch_add(1, std::memory_order_relaxed);
+                    if (!w->want_writable) {
+                        spurious_writables_.fetch_add(
+                            1, std::memory_order_relaxed);
+                    }
+                    w->want_writable = false;
+                    // Disarm before flushing: if the flush parks again the
+                    // transport re-requests, and EPOLL_CTL_MOD re-edges a
+                    // still-writable socket, so the wakeup cannot be lost.
+                    mod_interest(*w, kReadInterest);
+                    w->hook->flush_pending_writes();
+                }
+                if (ev.events &
+                    (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) {
+                    const bool peer_closed =
+                        (ev.events & (EPOLLRDHUP | EPOLLERR | EPOLLHUP)) != 0;
+                    // Cork the writer for the pump's duration: replies the
+                    // frame callbacks send coalesce into one flush at
+                    // uncork instead of a sendmsg per frame.
+                    w->hook->set_corked(true);
+                    const PumpResult pr = pump_reads(*w, peer_closed);
+                    w->hook->set_corked(false);
+                    if (pr == PumpResult::kClosed) close_wire(*w);
+                }
+            }
+        }
         // Final drain under the same lock hold that publishes exited_:
         // a racing post() either lands before (drained here) or observes
         // exited_ and self-completes.
@@ -514,7 +468,12 @@ private:
     void do_add(std::unique_ptr<Wire> wire) {
         Wire& w = *wire;
         auto [it, inserted] = wires_.emplace(w.id, std::move(wire));
-        if (!backend_->add(w)) {
+        w.scratch.resize(std::min(kScratchBytes, w.hook->max_frame_bytes()));
+        epoll_event ev{};
+        ev.events = kReadInterest;
+        ev.data.u64 = w.id;
+        if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, w.hook->descriptor(), &ev) !=
+            0) {
             // Unusable descriptor: surface as an immediate close.
             wire_add_failures_.fetch_add(1, std::memory_order_relaxed);
             wires_closed_.fetch_add(1, std::memory_order_relaxed);
@@ -532,28 +491,45 @@ private:
         w.hook->flush_pending_writes();
     }
 
-    /// Deliberate removal (deregister/stop): the backend flushes the
-    /// coalescing intake — EAGAIN'd output is dropped-and-counted by the
-    /// transport's own close later — and detaches the descriptor; then
-    /// the wire is freed (returning any half-assembled inbound frame to
-    /// the pool). on_closed is NOT invoked: that callback means "the
-    /// peer went away".
+    /// Deliberate removal (deregister/stop): flush the coalescing intake
+    /// — EAGAIN'd output is dropped-and-counted by the transport's own
+    /// close later — and detach the descriptor; then the wire is freed
+    /// (returning any half-assembled inbound frame to the pool).
+    /// on_closed is NOT invoked: that callback means "the peer went
+    /// away".
     void do_remove(std::uint64_t id) {
         auto it = wires_.find(id);
         if (it == wires_.end()) return;
-        backend_->remove(*it->second);
+        detach(*it->second);
         wires_.erase(it);
     }
 
+    void detach(Wire& w) {
+        w.hook->flush_pending_writes(); // best effort; drops if peer is gone
+        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, w.hook->descriptor(), nullptr);
+    }
+
+    /// Deliver exactly one EPOLLOUT once the descriptor accepts bytes
+    /// again (edge semantics).
     void do_arm(std::uint64_t id) {
         auto it = wires_.find(id);
         if (it == wires_.end()) return;
-        backend_->arm_write(*it->second);
+        it->second->want_writable = true;
+        mod_interest(*it->second, kReadInterest | EPOLLOUT);
+    }
+
+    void mod_interest(Wire& w, std::uint32_t events) {
+        epoll_event ev{};
+        ev.events = events;
+        ev.data.u64 = w.id;
+        ::epoll_ctl(epfd_, EPOLL_CTL_MOD, w.hook->descriptor(), &ev);
     }
 
     static thread_local Loop* t_current_loop;
 
     int evfd_ = -1;
+    int epfd_ = -1;
+    std::vector<epoll_event> events_; ///< preallocated epoll_wait batch
     std::unordered_map<std::uint64_t, std::unique_ptr<Wire>> wires_;
 
     std::mutex cmd_mu_;
@@ -569,28 +545,18 @@ private:
     std::atomic<std::uint64_t> wire_add_failures_{0};
     std::atomic<std::uint64_t> wait_syscalls_{0};
     std::atomic<std::uint64_t> read_syscalls_{0};
-    std::atomic<std::uint64_t> send_sqes_{0};
-    std::atomic<std::uint64_t> recv_enobufs_{0};
 
-    bool is_uring_ = false;
-    bool uring_fallback_ = false;
-
-    std::unique_ptr<LoopBackend> backend_;
     std::unique_ptr<rt::RtThread> thread_; ///< started last in the ctor
 };
 
 thread_local Reactor::Loop* Reactor::Loop::t_current_loop = nullptr;
 
-namespace {
-
-// ---------------------------------------------------------------------
-// Epoll backend: the portable default. Readiness-driven — edge-triggered
-// read pumps, EPOLLOUT parked-writer resumption, the eventfd registered
-// as interest id 0.
-// ---------------------------------------------------------------------
-class EpollBackend final : public LoopBackend {
-public:
-    explicit EpollBackend(Reactor::Loop& loop) : loop_(loop) {
+Reactor::Loop::Loop(std::size_t index) {
+    evfd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (evfd_ < 0) {
+        throw TransportError(std::string("eventfd: ") + std::strerror(errno));
+    }
+    try {
         epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
         if (epfd_ < 0) {
             throw TransportError(std::string("epoll_create1: ") +
@@ -599,514 +565,11 @@ public:
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.u64 = 0; // id 0 is reserved for the eventfd
-        if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, loop_.event_fd(), &ev) != 0) {
-            const int err = errno;
-            ::close(epfd_);
-            epfd_ = -1;
+        if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, evfd_, &ev) != 0) {
             throw TransportError(std::string("epoll_ctl(eventfd): ") +
-                                 std::strerror(err));
+                                 std::strerror(errno));
         }
         events_.resize(64);
-    }
-
-    ~EpollBackend() override {
-        if (epfd_ >= 0) ::close(epfd_);
-    }
-
-    const char* name() const noexcept override { return "epoll"; }
-
-    void run() override {
-        using PumpResult = Reactor::Loop::PumpResult;
-        bool stop = false;
-        while (!stop) {
-            const int n = ::epoll_wait(epfd_, events_.data(),
-                                       static_cast<int>(events_.size()), -1);
-            if (n < 0) {
-                if (errno == EINTR) continue;
-                break;
-            }
-            loop_.note_wait_syscall();
-            for (int i = 0; i < n; ++i) {
-                const epoll_event& ev = events_[i];
-                if (ev.data.u64 == 0) {
-                    loop_.note_wakeup();
-                    loop_.drain_eventfd();
-                    stop = loop_.process_commands() || stop;
-                    continue;
-                }
-                // Look up by id, never by cached pointer: a command
-                // processed earlier in this same batch may have removed
-                // (and freed) the wire this event refers to.
-                Wire* w = loop_.find_wire(ev.data.u64);
-                if (w == nullptr) continue;
-                if (ev.events & EPOLLOUT) {
-                    loop_.note_writable(!w->want_writable);
-                    w->want_writable = false;
-                    // Disarm before flushing: if the flush parks again the
-                    // transport re-requests, and EPOLL_CTL_MOD re-edges a
-                    // still-writable socket, so the wakeup cannot be lost.
-                    mod_interest(*w, kReadInterest);
-                    w->hook->flush_pending_writes();
-                }
-                if (ev.events &
-                    (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) {
-                    const bool peer_closed =
-                        (ev.events & (EPOLLRDHUP | EPOLLERR | EPOLLHUP)) != 0;
-                    // Cork the writer for the pump's duration: replies the
-                    // frame callbacks send coalesce into one flush at
-                    // uncork instead of a sendmsg per frame.
-                    w->hook->set_corked(true);
-                    const PumpResult pr = loop_.pump_reads(*w, peer_closed);
-                    w->hook->set_corked(false);
-                    if (pr == PumpResult::kClosed) loop_.close_wire(*w);
-                }
-            }
-        }
-    }
-
-    bool add(Wire& w) override {
-        // Size the read stage here, not at registration: only this
-        // backend stages reads in the wire (one-time setup cost, off the
-        // message path).
-        w.scratch.resize(std::min(kScratchBytes, w.hook->max_frame_bytes()));
-        epoll_event ev{};
-        ev.events = kReadInterest;
-        ev.data.u64 = w.id;
-        return ::epoll_ctl(epfd_, EPOLL_CTL_ADD, w.hook->descriptor(), &ev) ==
-               0;
-    }
-
-    void remove(Wire& w) override {
-        w.hook->flush_pending_writes(); // best effort; drops if peer is gone
-        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, w.hook->descriptor(), nullptr);
-    }
-
-    void arm_write(Wire& w) override {
-        w.want_writable = true;
-        mod_interest(w, kReadInterest | EPOLLOUT);
-    }
-
-    void poke(Wire& w) override {
-        mod_interest(w, kReadInterest | EPOLLOUT);
-    }
-
-private:
-    void mod_interest(Wire& w, std::uint32_t events) {
-        epoll_event ev{};
-        ev.events = events;
-        ev.data.u64 = w.id;
-        ::epoll_ctl(epfd_, EPOLL_CTL_MOD, w.hook->descriptor(), &ev);
-    }
-
-    Reactor::Loop& loop_;
-    int epfd_ = -1;
-    std::vector<epoll_event> events_; ///< preallocated epoll_wait batch
-};
-
-// ---------------------------------------------------------------------
-// io_uring backend: completion-driven. Multishot recv per wire completes
-// straight into pool-backed provided buffers (zero read syscalls);
-// loop-thread sends are gather-sendmsg SQEs completed in-ring (zero
-// sendmsg); the eventfd command ring is bridged as a re-posted in-ring
-// read chain; non-loop-thread parks arm a one-shot POLL_ADD(POLLOUT).
-// One io_uring_enter per cycle submits the whole cycle's SQE batch and
-// waits — a corked pump's reply burst is one ring doorbell.
-// ---------------------------------------------------------------------
-class UringBackend final : public LoopBackend, public ReactorLoopSender {
-public:
-    UringBackend(Reactor::Loop& loop, const ReactorOptions& options)
-        : loop_(loop), ring_(ring_options(options)) {
-        unsigned want = options.uring_buffers ? options.uring_buffers
-                                              : kDefaultUringBuffers;
-        unsigned count = 1;
-        while (count < want && count < 32768) count <<= 1;
-        if (!ring_.register_buf_ring(count)) {
-            throw TransportError(
-                "io_uring: provided-buffer ring unsupported (needs kernel "
-                ">= 5.19)");
-        }
-        // Receive staging: `count` chunks of the frame pool's 4 KiB size
-        // class, held for the loop's lifetime and recycled through the
-        // kernel's buffer ring. The global pool on purpose — this staging
-        // is shared across every wire on the loop; per-wire/per-lane
-        // pools still own the assembled-frame storage (consume() draws
-        // from hook->frame_pool()).
-        buf_count_ = count;
-        chunks_.reserve(count);
-        chunk_ptrs_.resize(count);
-        FrameBufferPool& pool = FrameBufferPool::global();
-        for (unsigned bid = 0; bid < count; ++bid) {
-            FrameBuffer chunk = pool.acquire(kUringChunkBytes);
-            chunk_ptrs_[bid] = chunk.data();
-            ring_.buf_ring_push(chunk.data(), kUringChunkBytes,
-                                static_cast<std::uint16_t>(bid));
-            chunks_.push_back(std::move(chunk));
-        }
-        ring_.buf_ring_commit();
-        deferred_.reserve(64);
-        corked_.reserve(64);
-    }
-
-    const char* name() const noexcept override { return "uring"; }
-
-    void run() override {
-        post_cmd_read();
-        bool stop = false;
-        while (!stop) {
-            bool entered = false;
-            ring_.submit_and_wait(1, &entered);
-            if (entered) loop_.note_wait_syscall();
-            io_uring_cqe cqe;
-            while (ring_.pop_cqe(&cqe)) {
-                dispatch(cqe, stop);
-                // A nested remove-drain (wire teardown inside a command)
-                // stashes other wires' completions; replay them before
-                // popping newer ones so per-wire byte order holds.
-                flush_deferred(stop);
-            }
-            // End of cycle: uncork every wire this batch touched, so all
-            // the replies its pumps produced leave as gather-send SQEs
-            // submitted by the next cycle's single enter.
-            uncork_all();
-        }
-        uncork_all();
-    }
-
-    bool add(Wire& w) override {
-        // io_uring reports a bad descriptor asynchronously (first CQE);
-        // registration wants the epoll-parity synchronous failure, so
-        // probe the fd directly.
-        if (::fcntl(w.hook->descriptor(), F_GETFL, 0) < 0) return false;
-        w.hook->set_loop_sender(this, w.id);
-        arm_recv(w);
-        return true;
-    }
-
-    void remove(Wire& w) override {
-        if (w.cork_marked) {
-            w.cork_marked = false;
-            w.hook->set_corked(false);
-        }
-        // Uninstall the sender first: any flush from here on (including
-        // the transport's own completion continuation) takes the sendmsg
-        // path instead of queueing new SQEs behind the cancels.
-        w.hook->set_loop_sender(nullptr, 0);
-        // Cancel in-flight SQEs and drain their terminal CQEs
-        // synchronously. io_uring holds a file reference per in-flight
-        // op; leaving one behind keeps the socket alive past the
-        // transport's close (and a multishot recv would keep completing
-        // into a freed wire).
-        unsigned cancels = 0;
-        if (w.recv_armed) {
-            post_cancel(ud(w.id, kOpRecv));
-            ++cancels;
-        }
-        if (w.send_inflight) {
-            post_cancel(ud(w.id, kOpSend));
-            ++cancels;
-        }
-        if (w.pollout_inflight) {
-            post_cancel(ud(w.id, kOpPollOut));
-            ++cancels;
-        }
-        while (w.recv_armed || w.send_inflight || w.pollout_inflight ||
-               cancels > 0) {
-            io_uring_cqe cqe;
-            if (!ring_.pop_cqe(&cqe)) {
-                bool entered = false;
-                const int r = ring_.submit_and_wait(1, &entered);
-                if (entered) loop_.note_wait_syscall();
-                if (r < 0 && r != -EBUSY && r != -EAGAIN) break; // ring dead
-                continue;
-            }
-            if ((cqe.user_data >> 3) != w.id) {
-                // Someone else's completion: replay it after the removal
-                // (flush_deferred) so its wire sees bytes in order.
-                deferred_.push_back(cqe);
-                continue;
-            }
-            switch (cqe.user_data & 7) {
-            case kOpCancel:
-                --cancels;
-                break;
-            case kOpRecv:
-                // Data racing the teardown is abandoned (epoll drops it
-                // the same way); the staging chunk goes straight back.
-                recycle_cqe_buffer(cqe);
-                if (!(cqe.flags & IORING_CQE_F_MORE)) w.recv_armed = false;
-                break;
-            case kOpSend:
-                w.send_inflight = false;
-                w.hook->complete_send(cqe.res);
-                break;
-            case kOpPollOut:
-                w.pollout_inflight = false;
-                break;
-            default:
-                break;
-            }
-        }
-        w.hook->flush_pending_writes(); // best effort; sendmsg path now
-    }
-
-    void arm_write(Wire& w) override {
-        w.want_writable = true;
-        if (!w.pollout_inflight) post_pollout(w);
-    }
-
-    void poke(Wire& w) override {
-        if (!w.pollout_inflight) post_pollout(w);
-    }
-
-    // ---- ReactorLoopSender ----
-
-    bool on_loop_thread() const noexcept override {
-        return Reactor::Loop::current() == &loop_;
-    }
-
-    bool submit_send(std::uint64_t wire_id, const iovec* iov,
-                     std::size_t iovcnt) override {
-        Wire* w = loop_.find_wire(wire_id);
-        if (w == nullptr || w->send_inflight || iovcnt == 0) return false;
-        io_uring_sqe* sqe = take_sqe();
-        if (sqe == nullptr) return false; // SQ wedged: sendmsg fallback
-        w->send_mh = msghdr{};
-        w->send_mh.msg_iov = const_cast<iovec*>(iov);
-        w->send_mh.msg_iovlen = iovcnt;
-        sqe->opcode = IORING_OP_SENDMSG;
-        sqe->fd = w->hook->descriptor();
-        sqe->addr = reinterpret_cast<std::uint64_t>(&w->send_mh);
-        sqe->msg_flags = MSG_NOSIGNAL;
-        sqe->user_data = ud(wire_id, kOpSend);
-        w->send_inflight = true;
-        loop_.note_send_sqe();
-        return true;
-    }
-
-private:
-    // user_data = (wire id << 3) | op. Wire ids are monotonic and never
-    // reused, so a stale completion can only miss the lookup, never hit
-    // the wrong wire.
-    enum : std::uint64_t {
-        kOpCmd = 0,
-        kOpRecv = 1,
-        kOpSend = 2,
-        kOpPollOut = 3,
-        kOpCancel = 4,
-    };
-
-    static std::uint64_t ud(std::uint64_t id, std::uint64_t op) noexcept {
-        return (id << 3) | op;
-    }
-
-    static Uring::Options ring_options(const ReactorOptions& options) {
-        Uring::Options o;
-        o.entries = options.uring_entries ? options.uring_entries
-                                          : kDefaultUringEntries;
-        return o;
-    }
-
-    /// Next SQE, flushing the SQ to the kernel once if it is full.
-    io_uring_sqe* take_sqe() {
-        io_uring_sqe* sqe = ring_.get_sqe();
-        if (sqe != nullptr) return sqe;
-        bool entered = false;
-        ring_.submit(&entered);
-        if (entered) loop_.note_wait_syscall();
-        return ring_.get_sqe();
-    }
-
-    void post_cmd_read() {
-        io_uring_sqe* sqe = take_sqe();
-        if (sqe == nullptr) return; // ring dead; loop will stop via join
-        sqe->opcode = IORING_OP_READ;
-        sqe->fd = loop_.event_fd();
-        sqe->addr = reinterpret_cast<std::uint64_t>(&cmd_buf_);
-        sqe->len = sizeof(cmd_buf_);
-        sqe->user_data = ud(0, kOpCmd);
-    }
-
-    void post_cancel(std::uint64_t target_ud) {
-        io_uring_sqe* sqe = take_sqe();
-        if (sqe == nullptr) return;
-        sqe->opcode = IORING_OP_ASYNC_CANCEL;
-        sqe->addr = target_ud;
-        sqe->user_data = ud(target_ud >> 3, kOpCancel);
-    }
-
-    void post_pollout(Wire& w) {
-        io_uring_sqe* sqe = take_sqe();
-        if (sqe == nullptr) return;
-        sqe->opcode = IORING_OP_POLL_ADD;
-        sqe->fd = w.hook->descriptor();
-        sqe->poll32_events = POLLOUT;
-        sqe->user_data = ud(w.id, kOpPollOut);
-        w.pollout_inflight = true;
-    }
-
-    void arm_recv(Wire& w) {
-        io_uring_sqe* sqe = take_sqe();
-        if (sqe == nullptr) {
-            loop_.close_wire(w); // cannot receive again: surface as close
-            return;
-        }
-        sqe->opcode = IORING_OP_RECV;
-        sqe->fd = w.hook->descriptor();
-        sqe->ioprio = IORING_RECV_MULTISHOT;
-        sqe->flags = IOSQE_BUFFER_SELECT;
-        sqe->buf_group = ring_.buf_group();
-        sqe->user_data = ud(w.id, kOpRecv);
-        w.recv_armed = true;
-    }
-
-    void recycle_cqe_buffer(const io_uring_cqe& cqe) {
-        if (!(cqe.flags & IORING_CQE_F_BUFFER)) return;
-        const std::uint16_t bid =
-            static_cast<std::uint16_t>(cqe.flags >> IORING_CQE_BUFFER_SHIFT);
-        if (bid >= buf_count_) return;
-        ring_.buf_ring_push(chunk_ptrs_[bid], kUringChunkBytes, bid);
-        ring_.buf_ring_commit();
-    }
-
-    void cork(Wire& w) {
-        if (w.cork_marked) return;
-        w.cork_marked = true;
-        corked_.push_back(w.id);
-        w.hook->set_corked(true);
-    }
-
-    void uncork_all() {
-        for (std::uint64_t id : corked_) {
-            Wire* w = loop_.find_wire(id);
-            if (w == nullptr || !w->cork_marked) continue; // closed mid-cycle
-            w->cork_marked = false;
-            w->hook->set_corked(false);
-        }
-        corked_.clear();
-    }
-
-    void flush_deferred(bool& stop) {
-        // Index loop: a replayed completion can close a wire, whose
-        // removal defers more completions onto the back of this queue.
-        for (std::size_t i = 0; i < deferred_.size(); ++i) {
-            io_uring_cqe cqe = deferred_[i];
-            dispatch(cqe, stop);
-        }
-        deferred_.clear();
-    }
-
-    void dispatch(const io_uring_cqe& cqe, bool& stop) {
-        using PumpResult = Reactor::Loop::PumpResult;
-        const std::uint64_t id = cqe.user_data >> 3;
-        static const bool debug = std::getenv("COMPADRES_URING_DEBUG") != nullptr;
-        if (debug) {
-            std::fprintf(stderr, "[uring] cqe op=%llu id=%llu res=%d flags=%x\n",
-                         (unsigned long long)(cqe.user_data & 7),
-                         (unsigned long long)id, cqe.res, cqe.flags);
-        }
-        switch (cqe.user_data & 7) {
-        case kOpCmd: {
-            loop_.note_wakeup();
-            stop = loop_.process_commands() || stop;
-            if (!stop) post_cmd_read();
-            break;
-        }
-        case kOpRecv: {
-            Wire* w = loop_.find_wire(id);
-            if (w != nullptr && !(cqe.flags & IORING_CQE_F_MORE)) {
-                w->recv_armed = false;
-            }
-            if (cqe.res > 0) {
-                if (w == nullptr) {
-                    recycle_cqe_buffer(cqe); // stale data for a gone wire
-                    break;
-                }
-                const std::uint16_t bid = static_cast<std::uint16_t>(
-                    cqe.flags >> IORING_CQE_BUFFER_SHIFT);
-                cork(*w);
-                const PumpResult pr =
-                    (cqe.flags & IORING_CQE_F_BUFFER) && bid < buf_count_
-                        ? loop_.consume(*w, chunk_ptrs_[bid],
-                                        static_cast<std::size_t>(cqe.res))
-                        : PumpResult::kClosed;
-                recycle_cqe_buffer(cqe);
-                if (pr == PumpResult::kClosed) {
-                    loop_.close_wire(*w);
-                    break;
-                }
-            } else {
-                recycle_cqe_buffer(cqe); // defensive: error CQEs carry none
-                if (w == nullptr) break;
-                if (cqe.res == -ENOBUFS) {
-                    // The provided-buffer ring ran dry mid-burst; the
-                    // chunks consumed earlier in this batch are already
-                    // recycled, so re-arming below succeeds.
-                    loop_.note_recv_enobufs();
-                } else if (cqe.res == -ECANCELED) {
-                    break; // teardown in progress; remove() owns the wire
-                } else if (cqe.res == 0 || (cqe.res != -EAGAIN &&
-                                            cqe.res != -EINTR)) {
-                    loop_.close_wire(*w); // EOF or hard receive error
-                    break;
-                }
-            }
-            if (w != nullptr && !w->recv_armed) arm_recv(*w);
-            break;
-        }
-        case kOpSend: {
-            Wire* w = loop_.find_wire(id);
-            if (w == nullptr) break; // removal already completed it
-            w->send_inflight = false;
-            w->hook->complete_send(cqe.res);
-            break;
-        }
-        case kOpPollOut: {
-            Wire* w = loop_.find_wire(id);
-            if (w == nullptr) break;
-            w->pollout_inflight = false;
-            loop_.note_writable(!w->want_writable);
-            w->want_writable = false;
-            w->hook->flush_pending_writes();
-            break;
-        }
-        default:
-            break; // kOpCancel acks from a close that already finished
-        }
-    }
-
-    Reactor::Loop& loop_;
-    Uring ring_;
-    unsigned buf_count_ = 0;
-    std::vector<FrameBuffer> chunks_;     ///< pool-owned staging storage
-    std::vector<std::uint8_t*> chunk_ptrs_; ///< bid -> chunk data
-    std::vector<io_uring_cqe> deferred_;  ///< replay queue (see remove())
-    std::vector<std::uint64_t> corked_;   ///< wires corked this cycle
-    std::uint64_t cmd_buf_ = 0;           ///< eventfd read-chain landing pad
-};
-
-} // namespace
-
-Reactor::Loop::Loop(std::size_t index, const ReactorOptions& options,
-                    ReactorBackend kind) {
-    evfd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (evfd_ < 0) {
-        throw TransportError(std::string("eventfd: ") + std::strerror(errno));
-    }
-    try {
-        if (kind == ReactorBackend::kUring) {
-            try {
-                backend_ = std::make_unique<UringBackend>(*this, options);
-                is_uring_ = true;
-            } catch (const TransportError&) {
-                // Kernel or sandbox denied io_uring (ENOSYS/EPERM), or the
-                // requested geometry was rejected: run this loop on epoll
-                // instead and record the fallback.
-                uring_fallback_ = true;
-            }
-        }
-        if (backend_ == nullptr) {
-            backend_ = std::make_unique<EpollBackend>(*this);
-        }
         commands_.reserve(64);
         scratch_.reserve(64);
         thread_ = std::make_unique<rt::RtThread>(
@@ -1115,7 +578,7 @@ Reactor::Loop::Loop(std::size_t index, const ReactorOptions& options,
     } catch (...) {
         // A throwing constructor skips the destructor: release what we
         // acquired or it leaks.
-        backend_.reset();
+        if (epfd_ >= 0) ::close(epfd_);
         ::close(evfd_);
         throw;
     }
@@ -1126,11 +589,8 @@ Reactor::Loop::~Loop() {
         request_stop();
         thread_->join();
     }
-    // The uring backend's in-flight eventfd read references both the ring
-    // and the eventfd: destroy the backend (closing the ring reaps the
-    // SQE) before the eventfd goes away.
-    backend_.reset();
-    if (evfd_ >= 0) ::close(evfd_);
+    ::close(epfd_);
+    ::close(evfd_);
 }
 
 struct Reactor::State {
@@ -1144,10 +604,9 @@ struct Reactor::State {
 
 Reactor::Reactor(ReactorOptions options) : state_(std::make_unique<State>()) {
     const std::size_t n = resolve_threads(options.threads);
-    const ReactorBackend kind = resolve_backend(options.backend);
     loops_.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-        loops_.push_back(std::make_unique<Loop>(i, options, kind));
+        loops_.push_back(std::make_unique<Loop>(i));
     }
 }
 
@@ -1220,14 +679,7 @@ ReactorStats Reactor::stats() const {
     return out;
 }
 
-const char* Reactor::backend_name() const noexcept {
-    std::size_t uring = 0;
-    for (const auto& loop : loops_) {
-        if (loop->is_uring()) ++uring;
-    }
-    if (uring == 0) return "epoll";
-    return uring == loops_.size() ? "uring" : "mixed";
-}
+const char* Reactor::backend_name() const noexcept { return "epoll"; }
 
 void Reactor::poke_writable(std::uint64_t wire_id) {
     Loop* loop = nullptr;

@@ -317,6 +317,7 @@ public:
             rx_[b].arena = seg_->arena(1 - side_, b);
             rx_[b].released =
                 std::make_unique<std::atomic<std::uint8_t>[]>(capacity_);
+            rx_[b].popped = std::make_unique<SegSlot[]>(capacity_);
             for (std::uint32_t i = 0; i < capacity_; ++i) {
                 rx_[b].released[i].store(0, std::memory_order_relaxed);
             }
@@ -540,6 +541,8 @@ public:
         c.resent_frames = resent_.load(std::memory_order_relaxed);
         c.dropped_on_failover = dropped_.load(std::memory_order_relaxed);
         c.replay_skipped = replay_skipped_.load(std::memory_order_relaxed);
+        c.peer_protocol_errors =
+            protocol_errors_.load(std::memory_order_relaxed);
         c.bands = static_cast<std::uint32_t>(bands_);
         std::uint64_t txd = 0;
         std::uint64_t rxd = 0;
@@ -611,6 +614,9 @@ private:
         std::uint64_t arena_retired = 0;
         std::atomic<std::uint32_t> skip_replay{0};
         std::unique_ptr<std::atomic<std::uint8_t>[]> released;
+        /// Bounds-checked copy of each popped slot's descriptor; the
+        /// retire walk reads these, never the peer-writable ring.
+        std::unique_ptr<SegSlot[]> popped;
         SegSlot* slots = nullptr;
         std::uint8_t* arena = nullptr;
         std::atomic<std::uint64_t> received{0};
@@ -774,27 +780,60 @@ private:
     /// Non-blocking pop of our inbound rings, band 0 (most urgent) first.
     /// Exactly one of: frame; closed (rings down AND drained); idle.
     RingRecv try_pop() {
-        std::lock_guard lk(recv_mu_);
-        if (rx_frozen_.load(std::memory_order_acquire) ||
-            closed_.load(std::memory_order_acquire)) {
-            return RingRecv::ended();
-        }
-        bool all_closed = true;
-        for (std::size_t b = 0; b < bands_; ++b) {
-            SegDir& d = rx_dir(b);
-            const std::uint32_t next =
-                rx_[b].next.load(std::memory_order_relaxed);
-            if (d.head.load(std::memory_order_acquire) != next) {
-                return pop_band_locked(b, next);
+        {
+            std::lock_guard lk(recv_mu_);
+            if (rx_frozen_.load(std::memory_order_acquire) ||
+                closed_.load(std::memory_order_acquire)) {
+                return RingRecv::ended();
             }
-            if (d.closed.load(std::memory_order_acquire) == 0) {
-                all_closed = false;
+            bool all_closed = true;
+            bool corrupt = false;
+            for (std::size_t b = 0; b < bands_ && !corrupt; ++b) {
+                SegDir& d = rx_dir(b);
+                const std::uint32_t next =
+                    rx_[b].next.load(std::memory_order_relaxed);
+                const std::uint32_t head =
+                    d.head.load(std::memory_order_acquire);
+                if (head != next) {
+                    // One copy of the peer-written descriptor, checked
+                    // before any byte it names is touched. An honest
+                    // producer never publishes more than a ring ahead of
+                    // the tail we retired to; a head that does would
+                    // alias slots still in the retire window.
+                    const SegSlot slot = rx_[b].slots[next & mask_];
+                    const std::uint32_t ahead =
+                        head - rx_[b].retired.load(std::memory_order_acquire);
+                    if (ahead > capacity_ || !slot_in_bounds(slot)) {
+                        corrupt = true;
+                        break;
+                    }
+                    return pop_band_locked(b, next, slot);
+                }
+                if (d.closed.load(std::memory_order_acquire) == 0) {
+                    all_closed = false;
+                }
+            }
+            if (!corrupt) {
+                const bool done =
+                    rx_peer_done_.load(std::memory_order_acquire) ||
+                    all_closed || peer_dead_.load(std::memory_order_acquire);
+                return done ? RingRecv::ended() : RingRecv{};
             }
         }
-        const bool done = rx_peer_done_.load(std::memory_order_acquire) ||
-                          all_closed ||
-                          peer_dead_.load(std::memory_order_acquire);
-        return done ? RingRecv::ended() : RingRecv{};
+        // The peer published a ring entry we cannot trust: stop reading
+        // the ring. Abandon freezes the rx side (so no later pop reaches
+        // the bad entry) and moves the route onto TCP; it takes send_mu_,
+        // hence outside recv_mu_.
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        abandon("peer protocol error");
+        return RingRecv::ended();
+    }
+
+    /// A peer-written descriptor is usable only if it names bytes inside
+    /// the arena and no more than the negotiated frame bound.
+    bool slot_in_bounds(const SegSlot& slot) const noexcept {
+        return slot.len <= max_frame_ &&
+               std::uint64_t{slot.offset} + slot.len <= arena_bytes_;
     }
 
     /// Deliver the frame at `next` in band `b`. Zero-copy while the pin
@@ -802,10 +841,12 @@ private:
     /// slot, the release hook retires it when the frame dies, and the
     /// keepalive pins this session (and the mapping) underneath it.
     /// Otherwise copy out into a pooled buffer and retire immediately.
-    RingRecv pop_band_locked(std::size_t b, std::uint32_t next) {
+    /// `slot` is the descriptor try_pop copied and bounds-checked.
+    RingRecv pop_band_locked(std::size_t b, std::uint32_t next,
+                             const SegSlot& slot) {
         RxBand& rx = rx_[b];
         const std::uint32_t idx = next & mask_;
-        const SegSlot slot = rx.slots[idx];
+        rx.popped[idx] = slot;
         std::uint8_t* src = rx.arena + slot.offset;
         // Delivered-but-unretired slots. Capping below capacity keeps
         // bitmap indices collision-free (at pinned == capacity the next
@@ -871,7 +912,7 @@ private:
         while (r != limit &&
                rx.released[r & mask_].load(std::memory_order_relaxed) != 0) {
             rx.released[r & mask_].store(0, std::memory_order_relaxed);
-            const SegSlot slot = rx.slots[r & mask_];
+            const SegSlot slot = rx.popped[r & mask_];
             // A slot that does not start at our retire position means the
             // producer jumped to the arena boundary.
             if (rx.arena_retired % arena_bytes_ != slot.offset) {
@@ -991,9 +1032,11 @@ private:
         obs::FlightRecorder::emit(obs::EventType::kShmFailover, 0, 0);
     }
 
+    /// The slot ring lives in the shared segment, so a replayed
+    /// descriptor is checked like an inbound one: a slot outside the
+    /// arena is counted and dropped, never read.
     void replay_band_locked(TxBand& tx, SegDir& d) {
         std::uint32_t t = d.tail.load(std::memory_order_acquire);
-        std::uint64_t at = d.arena_tail.load(std::memory_order_acquire);
         constexpr std::size_t kReplayBatch = 32;
         FrameBuffer bufs[kReplayBatch];
         while (t != tx.head) {
@@ -1004,19 +1047,25 @@ private:
             std::size_t max_len = 0;
             for (std::uint32_t w = t; w != tx.head && n < kReplayBatch;
                  ++w, ++n) {
-                const std::size_t len = tx.slots[w & mask_].len;
-                if (len > max_len) max_len = len;
+                const SegSlot slot = tx.slots[w & mask_];
+                if (slot_in_bounds(slot) && slot.len > max_len) {
+                    max_len = slot.len;
+                }
             }
             if (tcp_up_.load(std::memory_order_relaxed)) {
                 pool().acquire_batch(max_len, bufs, n);
             }
             for (std::size_t i = 0; i < n; ++i) {
+                // Re-read after the sizing scan, so check it again: the
+                // buffer holds max_len bytes.
                 const SegSlot slot = tx.slots[t & mask_];
-                if (at % arena_bytes_ != slot.offset) {
-                    at += arena_bytes_ - (at % arena_bytes_);
-                }
-                at += align8(slot.len);
                 ++t;
+                if (!slot_in_bounds(slot) || slot.len > max_len) {
+                    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+                    dropped_.fetch_add(1, std::memory_order_relaxed);
+                    bufs[i].release();
+                    continue;
+                }
                 if (!tcp_up_.load(std::memory_order_relaxed)) {
                     dropped_.fetch_add(1, std::memory_order_relaxed);
                     bufs[i].release();
@@ -1174,6 +1223,7 @@ private:
     std::atomic<bool> close_done_{false};
     std::atomic<bool> tcp_up_{true};
 
+    std::atomic<std::uint64_t> protocol_errors_{0};
     std::atomic<std::uint64_t> shm_sent_{0};
     std::atomic<std::uint64_t> shm_recv_{0};
     std::atomic<std::uint64_t> tcp_sent_{0};

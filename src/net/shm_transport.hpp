@@ -277,6 +277,11 @@ struct ShmCounters {
     std::uint64_t replay_skipped = 0; ///< replayed frames deduped after a
                                       ///< failover with delivered-but-
                                       ///< unretired slots outstanding
+    /// Peer-written ring entries rejected: a slot naming bytes outside
+    /// the arena or beyond the frame bound, or a head published more
+    /// than a ring past our retired tail. Inbound, one fails the ring
+    /// over to TCP; a bad slot met during failover replay is dropped.
+    std::uint64_t peer_protocol_errors = 0;
 
     // Banded lanes (first `bands` entries are meaningful).
     std::uint32_t bands = 1;

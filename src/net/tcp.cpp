@@ -126,7 +126,7 @@ public:
             // the parked batch (freeing intake slots) or re-parks on
             // EAGAIN; if the intake is still full after it, a counted
             // drop beats a frozen loop.
-            if (parked_ && !writer_active_ && !inflight_) {
+            if (parked_ && !writer_active_) {
                 writer_active_ = true;
                 const bool want_writable = drain(lk);
                 if (want_writable) {
@@ -220,17 +220,10 @@ public:
         // can race a reused descriptor.
         if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
         std::unique_lock lk(mu_);
-        // An in-flight gather-send SQE still references the batch; the
-        // shutdown above fails it promptly and complete_send drops it.
-        // Only a loop thread may skip the wait (its own dispatch is what
-        // delivers the completion) — then the batch is left for
-        // complete_send rather than dropped out from under the kernel.
-        cv_.wait(lk, [&] {
-            return !writer_active_ && (!inflight_ || t_reactor_loop_thread);
-        });
+        cv_.wait(lk, [&] { return !writer_active_; });
         // A parked batch has no drainer to wake: drop it here along with
         // the queue, deterministically and counted.
-        if (!inflight_) drop_parked_locked();
+        drop_parked_locked();
         drop_queue_locked();
     }
 
@@ -333,10 +326,6 @@ public:
 
     bool flush_pending_writes() override {
         std::unique_lock lk(mu_);
-        // A kernel-owned batch (gather-send SQE in flight) must not be
-        // touched — not even to drop it on close; complete_send resumes
-        // or drops it when the completion lands.
-        if (inflight_) return true;
         // An active drainer owns the socket; its own EAGAIN re-requests
         // writability, so there is nothing for the reactor to take over.
         if (writer_active_) return true;
@@ -381,112 +370,8 @@ public:
         if (want_writable && request_writable_) request_writable_();
     }
 
-    void set_loop_sender(ReactorLoopSender* sender,
-                         std::uint64_t wire_id) override {
-        std::lock_guard lk(mu_);
-        // Ordered stores: write_batch_step reads the id unlocked after an
-        // acquire-load of the sender, so the id must be published first.
-        loop_wire_id_ = wire_id;
-        loop_sender_.store(sender, std::memory_order_release);
-    }
-
-    /// Gather-send SQE completion (uring backend, loop thread). The batch
-    /// the kernel just finished with is the parked one: advance it exactly
-    /// as write_batch_step would after a sendmsg, then keep the queue
-    /// moving — resubmit a remainder, or continue draining.
-    void complete_send(long result) noexcept override {
-        std::unique_lock lk(mu_);
-        inflight_ = false;
-        if (!parked_) { // defensive: nothing staged (should not happen)
-            lk.unlock();
-            cv_.notify_all();
-            return;
-        }
-        if (closing_ || send_failed_) {
-            drop_parked_locked();
-            drop_queue_locked();
-            lk.unlock();
-            cv_.notify_all();
-            return;
-        }
-        if (result == -EINTR || result == -EAGAIN) result = 0;
-        if (result < 0) {
-            if (result == -ECANCELED) {
-                // Wire teardown reaped the SQE unsent. The batch stays
-                // parked; the transport's own close drops and counts it.
-                lk.unlock();
-                cv_.notify_all();
-                return;
-            }
-            send_errno_ = static_cast<int>(-result);
-            send_failed_ = true;
-            drop_parked_locked();
-            drop_queue_locked();
-            lk.unlock();
-            cv_.notify_all();
-            return;
-        }
-        std::size_t advanced = static_cast<std::size_t>(result);
-        while (advanced > 0 && iov_at_ < iov_.size()) {
-            if (advanced >= iov_[iov_at_].iov_len) {
-                advanced -= iov_[iov_at_].iov_len;
-                ++iov_at_;
-            } else {
-                iov_[iov_at_].iov_base =
-                    static_cast<std::uint8_t*>(iov_[iov_at_].iov_base) +
-                    advanced;
-                iov_[iov_at_].iov_len -= advanced;
-                advanced = 0;
-            }
-        }
-        if (iov_at_ < iov_.size()) {
-            // Short send: resubmit the remainder in-ring when possible,
-            // else fall back to a write-ready park.
-            ReactorLoopSender* s =
-                loop_sender_.load(std::memory_order_acquire);
-            if (s != nullptr && s->on_loop_thread() &&
-                s->submit_send(loop_wire_id_, iov_.data() + iov_at_,
-                               iov_.size() - iov_at_)) {
-                inflight_ = true;
-                lk.unlock();
-                cv_.notify_all();
-                return;
-            }
-            lk.unlock();
-            cv_.notify_all();
-            if (request_writable_) request_writable_();
-            return;
-        }
-        // Batch fully on the wire. Claim the writer slot so the frames
-        // can be released outside the lock (same discipline as drain);
-        // batch_ keeps its reserved capacity for the next flush.
-        const std::size_t n = batch_.size();
-        parked_ = false;
-        writer_active_ = true;
-        frames_sent_.fetch_add(n, std::memory_order_relaxed);
-        obs::FlightRecorder::emit(obs::EventType::kCoalesceFlush,
-                                  static_cast<std::uint64_t>(fd_),
-                                  static_cast<std::uint32_t>(n));
-        lk.unlock();
-        for (auto& b : batch_) b.release();
-        batch_.clear();
-        iov_.clear();
-        iov_at_ = 0;
-        lk.lock();
-        if (count_ > 0 && !corked_ && !closing_ && !send_failed_) {
-            const bool want_writable = drain(lk);
-            lk.unlock();
-            cv_.notify_all();
-            if (want_writable && request_writable_) request_writable_();
-            return;
-        }
-        writer_active_ = false;
-        lk.unlock();
-        cv_.notify_all();
-    }
-
 private:
-    enum class WriteOutcome { kDone, kAgain, kError, kInflight };
+    enum class WriteOutcome { kDone, kAgain, kError };
 
     /// Buffered read_exact: drains the recv staging buffer first and
     /// refills it with single read() calls sized to the whole buffer, so a
@@ -603,16 +488,6 @@ private:
             lk.unlock();
             cv_.notify_all(); // intake space freed: admit blocked senders
             const WriteOutcome outcome = write_batch_step();
-            if (outcome == WriteOutcome::kInflight) {
-                // The kernel owns the staged iovecs now; complete_send
-                // resumes this queue when the SQE finishes. No writable
-                // request — the completion IS the wakeup.
-                lk.lock();
-                parked_ = true;
-                inflight_ = true;
-                writer_active_ = false;
-                return false;
-            }
             if (outcome == WriteOutcome::kAgain) {
                 obs::FlightRecorder::emit(obs::EventType::kWriterPark,
                                           static_cast<std::uint64_t>(fd_),
@@ -659,17 +534,6 @@ private:
         stage_batch();
         lk.unlock();
         const WriteOutcome outcome = write_batch_step();
-        if (outcome == WriteOutcome::kInflight) {
-            // Unreachable in practice (the sender is only installed once
-            // reactor mode forced kCoalesce), but park correctly anyway.
-            lk.lock();
-            parked_ = true;
-            inflight_ = true;
-            writer_active_ = false;
-            lk.unlock();
-            cv_.notify_all();
-            return;
-        }
         if (outcome == WriteOutcome::kAgain) {
             lk.lock();
             parked_ = true;
@@ -724,19 +588,6 @@ private:
     /// the partially-advanced iovecs so a later call resumes exactly where
     /// the socket stopped accepting bytes.
     WriteOutcome write_batch_step() {
-        // On the owning loop's thread, hand the whole staged batch to the
-        // uring backend as one gather-send SQE instead of paying a
-        // sendmsg: kInflight parks the batch (kernel-owned) until
-        // complete_send. Any other thread — or epoll mode, which never
-        // installs a sender — keeps the sendmsg path below.
-        if (ReactorLoopSender* s =
-                loop_sender_.load(std::memory_order_acquire)) {
-            if (iov_at_ < iov_.size() && s->on_loop_thread() &&
-                s->submit_send(loop_wire_id_, iov_.data() + iov_at_,
-                               iov_.size() - iov_at_)) {
-                return WriteOutcome::kInflight;
-            }
-        }
         while (iov_at_ < iov_.size()) {
             msghdr mh{};
             mh.msg_iov = iov_.data() + iov_at_;
@@ -787,15 +638,6 @@ private:
     bool no_new_frames_ = false;
     /// Reactor mode: a batch hit EAGAIN mid-write and waits for EPOLLOUT.
     bool parked_ = false;
-    /// The parked batch is kernel-owned (gather-send SQE in flight, uring
-    /// backend): nobody may touch batch_/iov_ until complete_send runs.
-    /// inflight_ implies parked_.
-    bool inflight_ = false;
-    /// Installed by the uring backend after the wire joins its loop
-    /// (null in epoll mode); loop_wire_id_ is published before the
-    /// release-store and read only after an acquire-load of the sender.
-    std::atomic<ReactorLoopSender*> loop_sender_{nullptr};
-    std::uint64_t loop_wire_id_ = 0;
     // Reactor read-pump cork: replies staged in the intake flush together
     // at uncork instead of one sendmsg each (set_corked).
     bool corked_ = false;

@@ -13,7 +13,6 @@
 
 #include "net/frame_pool.hpp"
 
-#include <sys/uio.h>
 
 #include <cstdint>
 #include <cstring>
@@ -49,29 +48,6 @@ struct TransportStats {
     /// High-water mark of the coalescing intake depth — how close the
     /// lane came to stalling even when it never did.
     std::uint64_t intake_depth_hwm = 0;
-};
-
-/// Completion-based send seam a reactor loop backend (io_uring) installs
-/// on its wires' transports: instead of paying a sendmsg per coalesced
-/// batch, a flush running on the owning loop's thread hands the staged
-/// iovec array to submit_send and the backend ships it as one gather-send
-/// SQE, completed in-ring. The submission queue is single-producer, so
-/// submit_send is only legal when on_loop_thread() is true — callers on
-/// any other thread keep the sendmsg path.
-class ReactorLoopSender {
-public:
-    virtual ~ReactorLoopSender() = default;
-
-    /// True only on the thread of the loop that owns this wire.
-    virtual bool on_loop_thread() const noexcept = 0;
-
-    /// Post an async gather-send of iov[0..iovcnt). The iovec array and
-    /// the frame storage behind it must stay untouched until the backend
-    /// calls ReactorHook::complete_send. False when the backend cannot
-    /// take the batch right now (ring full, wire mid-teardown) — the
-    /// caller falls back to sendmsg.
-    virtual bool submit_send(std::uint64_t wire_id, const iovec* iov,
-                             std::size_t iovcnt) = 0;
 };
 
 /// Hooks an epoll reactor (net/reactor.hpp) uses to drive a transport
@@ -122,19 +98,6 @@ public:
     virtual FrameBufferPool& frame_pool() noexcept {
         return FrameBufferPool::global();
     }
-
-    /// Install (or, with nullptr, uninstall) a completion-based loop
-    /// sender for this wire. Called by the uring backend right after the
-    /// wire joins its loop and again during removal; the epoll backend
-    /// never calls it. Default no-op for transports without a coalescing
-    /// writer (they cannot stage a batch for async completion).
-    virtual void set_loop_sender(ReactorLoopSender*, std::uint64_t) {}
-
-    /// Completion callback for a submit_send batch, invoked on the loop
-    /// thread: `result` is bytes written or -errno (-ECANCELED during
-    /// wire teardown). The transport advances its staged iovecs, resubmits
-    /// a remainder, and continues draining its queue. Default no-op.
-    virtual void complete_send(long) noexcept {}
 };
 
 /// Mark the calling thread as a reactor event-loop thread (one-way; the

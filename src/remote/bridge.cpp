@@ -189,6 +189,8 @@ RemoteBridge::RemoteBridge(core::Application& app,
             g.counters.emplace_back("shm_dropped_on_failover",
                                     c.dropped_on_failover);
             g.counters.emplace_back("shm_replay_skipped", c.replay_skipped);
+            g.counters.emplace_back("shm_peer_protocol_errors",
+                                    c.peer_protocol_errors);
             // Zero-copy receive health: borrowed is the steady state,
             // copies should stay 0 (a nonzero value means the pin budget
             // forced copy-out fallbacks, visible in pin_stalls too).
@@ -217,10 +219,9 @@ RemoteBridge::RemoteBridge(core::Application& app,
             const net::ReactorStats rs = reactor_->stats();
             g.counters.emplace_back("reactor_wire_add_failures",
                                     rs.wire_add_failures);
-            // Loop-side syscall economics, both backends: waits + pump
-            // reads over assembled frames. Published as a per-1k-frames
-            // integer (counters are integral); uring loops should sit far
-            // below epoll here — reads complete in-ring.
+            // Loop-side syscall economics: waits + pump reads over
+            // assembled frames. Published as a per-1k-frames integer
+            // (counters are integral).
             g.counters.emplace_back("reactor_wait_syscalls",
                                     rs.wait_syscalls);
             g.counters.emplace_back("reactor_read_syscalls",
@@ -229,12 +230,6 @@ RemoteBridge::RemoteBridge(core::Application& app,
                 "reactor_syscalls_per_1k_frames",
                 static_cast<std::uint64_t>(rs.loop_syscalls_per_frame() *
                                            1000.0));
-            g.counters.emplace_back("reactor_send_sqes", rs.send_sqes);
-            g.counters.emplace_back("reactor_recv_enobufs",
-                                    rs.recv_enobufs);
-            g.counters.emplace_back("reactor_uring_loops", rs.uring_loops);
-            g.counters.emplace_back("reactor_uring_fallbacks",
-                                    rs.uring_fallbacks);
         }
         return g;
     });

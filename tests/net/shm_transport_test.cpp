@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <fcntl.h>
+#include <optional>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -338,6 +340,108 @@ TEST(ShmTransport, OversizeFrameFailsOverAndStaysOrdered) {
     EXPECT_FALSE(shm->shm_active());
     EXPECT_GE(shm->counters().failovers, 1u);
     pair.client->close();
+}
+
+// A co-located peer controls the slot ring, so whatever it publishes
+// there must never make the receiver read outside its arena. The helper
+// plays that peer: it maps the segment by name and publishes one bad
+// entry in the client→server ring, then checks that the receiver fails
+// over to TCP (counted once) and delivers nothing from the ring.
+namespace {
+
+enum class Scribble {
+    kOutOfArenaSlot, ///< {offset, len} runs off the end of the arena
+    kOverrunHead,    ///< head published more than a ring past the tail
+};
+
+void expect_scribble_fails_closed(Scribble scribble) {
+    NegotiatedPair pair = negotiate({});
+    ASSERT_TRUE(pair.client_shm);
+    ASSERT_TRUE(pair.server_shm);
+    auto* client = dynamic_cast<net::ShmTransport*>(pair.client.get());
+    auto* server = dynamic_cast<net::ShmTransport*>(pair.server.get());
+    ASSERT_NE(client, nullptr);
+    ASSERT_NE(server, nullptr);
+
+    pair.client->send_frame(data_frame(0));
+    {
+        const auto f = pair.server->recv_frame();
+        ASSERT_TRUE(f.has_value());
+        EXPECT_EQ(frame_seq(*f), 0u);
+    } // retired: the ring is empty again
+
+    const int fd = shm_open(client->segment_name().c_str(), O_RDWR, 0);
+    ASSERT_GE(fd, 0);
+    struct stat st{};
+    ASSERT_EQ(fstat(fd, &st), 0);
+    const std::size_t map_bytes = static_cast<std::size_t>(st.st_size);
+    void* map = mmap(nullptr, map_bytes, PROT_READ | PROT_WRITE, MAP_SHARED,
+                     fd, 0);
+    close(fd);
+    ASSERT_NE(map, MAP_FAILED);
+    auto* base = static_cast<std::uint8_t*>(map);
+    const auto& h = *reinterpret_cast<net::shm_detail::SegHeader*>(base);
+    // Side 0 (the connecting client) produces band 0 of the first dir.
+    auto& dir = *reinterpret_cast<net::shm_detail::SegDir*>(
+        base + net::shm_detail::dirs_offset());
+    auto* slots = reinterpret_cast<net::shm_detail::SegSlot*>(
+        base + net::shm_detail::slots_offset(h.bands));
+    const std::uint32_t head = dir.head.load(std::memory_order_acquire);
+    if (scribble == Scribble::kOutOfArenaSlot) {
+        slots[head & (h.ring_capacity - 1)] =
+            net::shm_detail::SegSlot{h.arena_bytes - 16, 4096};
+        dir.head.store(head + 1, std::memory_order_release);
+    } else {
+        dir.head.store(head + h.ring_capacity + 1, std::memory_order_release);
+    }
+
+    std::optional<net::FrameBuffer> got;
+    std::atomic<bool> returned{false};
+    std::thread rx([&] {
+        got = pair.server->recv_frame();
+        returned = true;
+    });
+    // The client's receive loop is what reads the server's bye.
+    std::thread peer([&] {
+        while (pair.client->recv_frame().has_value()) {
+        }
+    });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!returned && client->shm_active() &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // The route now rides TCP; the next frame unblocks the receiver.
+    if (!returned) pair.client->send_frame(data_frame(1));
+    rx.join();
+    const net::ShmCounters c = server->counters();
+    const bool server_shm_active = server->shm_active();
+    // Tear down before asserting, so a failure never leaves threads
+    // running.
+    pair.client->close();
+    peer.join();
+    munmap(map, map_bytes);
+
+    ASSERT_TRUE(got.has_value());
+    ASSERT_EQ(got->size(), data_frame(1).size())
+        << "delivered a frame the peer scribbled into the ring";
+    EXPECT_EQ(frame_seq(*got), 1u);
+    EXPECT_EQ(c.peer_protocol_errors, 1u);
+    EXPECT_EQ(c.shm_frames_received, 1u);
+    EXPECT_FALSE(server_shm_active);
+    got.reset();
+    pair.server->close();
+}
+
+} // namespace
+
+TEST(ShmTransport, OutOfArenaSlotDescriptorFailsClosed) {
+    expect_scribble_fails_closed(Scribble::kOutOfArenaSlot);
+}
+
+TEST(ShmTransport, OverrunningRingHeadFailsClosed) {
+    expect_scribble_fails_closed(Scribble::kOverrunHead);
 }
 
 // ---- zero-copy receive path ----

@@ -580,13 +580,10 @@ TEST_F(BridgeTest, TraceReportCarriesLaneCounters) {
     EXPECT_TRUE(value_of("lane1_frames_dropped").has_value());
     if (bridge_a.using_reactor()) {
         EXPECT_EQ(value_of("reactor_wire_add_failures"), std::uint64_t{0});
-        // Loop-side syscall economics flow through the trace report for
-        // both backends (the satellite metric of the uring PR).
+        // Loop-side syscall economics flow through the trace report.
         EXPECT_TRUE(value_of("reactor_wait_syscalls").has_value());
         EXPECT_TRUE(value_of("reactor_read_syscalls").has_value());
         EXPECT_TRUE(value_of("reactor_syscalls_per_1k_frames").has_value());
-        EXPECT_TRUE(value_of("reactor_uring_loops").has_value());
-        EXPECT_TRUE(value_of("reactor_uring_fallbacks").has_value());
     }
     // The counters also surface in the rendered report.
     const std::string text = report.to_string();

@@ -144,77 +144,21 @@ def headline(doc):
     return ("-", "-", "(no headline extractor)")
 
 
-def fanin_backend_rows(base, doc):
-    """Backend-comparison sub-rows for fanin_roundtrip (PR-10)."""
-    rows = []
-    notes = []
-    compare = doc.get("backend_compare")
-    if compare is None:
-        notes.append(
-            "note: %s has no epoll-vs-uring comparison (artifact predates "
-            "the io_uring backend; re-run fanin_bench)" % base
-        )
-        return rows, notes
-    if "skipped" in compare:
-        notes.append(
-            "note: %s backend comparison skipped: %s"
-            % (base, compare["skipped"])
-        )
-        return rows, notes
-    for backend in ("epoll", "uring"):
-        leg = compare.get(backend, {})
-        rows.append(
-            (
-                base,
-                "  %s@%s" % (backend, compare.get("wires", "?")),
-                us(leg.get("p50_ns")),
-                us(leg.get("p99_ns")),
-                "loop syscalls/frame %.4f, server sendmsg/frame %.4f, "
-                "allocs/msg %.2f"
-                % (
-                    leg.get("loop_syscalls_per_frame", -1),
-                    leg.get("server_send_syscalls_per_frame", -1),
-                    leg.get("allocs_per_message", -1),
-                ),
-            )
-        )
-    return rows, notes
+def retired_backend_note(base, doc):
+    """One-line note for an old fanin/lane artifact's io_uring comparison.
 
-
-def lane_backend_rows(base, doc):
-    """Backend-comparison sub-rows for lane_interference (PR-10)."""
-    rows = []
-    notes = []
-    backends = doc.get("backends")
-    if backends is None:
-        notes.append(
-            "note: %s has no reactor-served-lanes comparison (artifact "
-            "predates the io_uring backend; re-run lane_bench)" % base
-        )
-        return rows, notes
-    if "skipped" in backends:
-        notes.append(
-            "note: %s backend comparison skipped: %s"
-            % (base, backends["skipped"])
-        )
-        return rows, notes
-    for backend in ("epoll", "uring"):
-        leg = backends.get(backend, {})
-        rows.append(
-            (
-                base,
-                "  %s lanes" % backend,
-                us(leg.get("contended_p50_ns")),
-                us(leg.get("contended_p99_ns")),
-                "urgent under bulk (clean p99 %s us), loop syscalls/frame "
-                "%.4f"
-                % (
-                    us(leg.get("uncontended_p99_ns")),
-                    leg.get("loop_syscalls_per_frame", -1),
-                ),
-            )
-        )
-    return rows, notes
+    The io_uring reactor backend is gone; its epoll-vs-uring block
+    (`backend_compare` in fanin_roundtrip, `backends` in
+    lane_interference) is noted, not rendered.
+    """
+    block = doc.get("backend_compare", doc.get("backends"))
+    if block is None:
+        return []
+    if "skipped" in block:
+        return ["note: %s carries the retired epoll-vs-io_uring rung "
+                "(skipped then: %s)" % (base, block["skipped"])]
+    return ["note: %s carries the retired epoll-vs-io_uring rung; the "
+            "bench no longer runs that backend" % base]
 
 
 def extra_rows(base, doc):
@@ -222,18 +166,17 @@ def extra_rows(base, doc):
 
     remote_roundtrip's co-located run carries a zero-copy payload sweep and
     a 2-band interference rung (older remote artifacts also carry the
-    retired legacy-wire and copy-out comparisons, noted but not shown); fanin_roundtrip and lane_interference carry
-    an epoll-vs-uring backend comparison. Each gets its own row so the
-    trajectory of both is visible without opening the JSON. Older artifacts
-    that predate those fields get a note, never an error — the trend table
-    must keep rendering across a bench-format transition.
+    retired legacy-wire and copy-out comparisons, noted but not shown;
+    older fanin_roundtrip and lane_interference artifacts carry the retired
+    epoll-vs-io_uring comparison, likewise noted). Each gets its own row so
+    the trajectory of both is visible without opening the JSON. Older
+    artifacts that predate those fields get a note, never an error — the
+    trend table must keep rendering across a bench-format transition.
     """
     rows = []
     notes = []
-    if doc.get("benchmark") == "fanin_roundtrip":
-        return fanin_backend_rows(base, doc)
-    if doc.get("benchmark") == "lane_interference":
-        return lane_backend_rows(base, doc)
+    if doc.get("benchmark") in ("fanin_roundtrip", "lane_interference"):
+        return rows, retired_backend_note(base, doc)
     if doc.get("benchmark") != "remote_roundtrip":
         return rows, notes
     if "improvement_p50_32B_pct" in doc:
