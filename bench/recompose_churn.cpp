@@ -2,7 +2,7 @@
 //
 // The scenario the quiesce-reroute-resume protocol exists for: a running
 // ping/pong pipeline over a 2-band lane group whose ping route is
-// repoliced every 50 ms (Block<->Ring, band 1<->0, coalescing on/off)
+// repoliced every 50 ms (Block<->Ring, band 1<->0)
 // while traffic keeps flowing. Two phases run back to back in the same
 // process so the gate compares like with like:
 //
@@ -142,7 +142,6 @@ public:
         if (flips_++ % 2 == 0) {
             next.overflow = core::OverflowPolicy::kRingOverwrite;
             next.band = 0;
-            next.coalesce = false;
         } else {
             next.band = 1;
         }

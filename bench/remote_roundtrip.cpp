@@ -229,13 +229,11 @@ struct BurstResult {
 
 /// Blast frames from several threads at a delayed TCP reader and measure
 /// syscalls per frame on the sending transport.
-BurstResult run_burst(net::WritePolicy policy) {
+BurstResult run_burst() {
     net::TcpAcceptor acceptor(0);
     std::unique_ptr<net::Transport> server_side;
     std::thread accept_thread([&] { server_side = acceptor.accept(); });
-    net::TcpOptions options;
-    options.policy = policy;
-    auto client = net::tcp_connect("127.0.0.1", acceptor.bound_port(), options);
+    auto client = net::tcp_connect("127.0.0.1", acceptor.bound_port());
     accept_thread.join();
 
     cdr::RequestHeader req;
@@ -734,7 +732,7 @@ int main(int argc, char** argv) {
 
     RungResult fast[kSizeCount];
     double worst_allocs = 0.0;
-    BurstResult coalesce, direct;
+    BurstResult coalesce;
     if (!shm_only) {
         EchoHarness h;
         // Timed burn-in before any rung is measured: the first rung would
@@ -769,13 +767,10 @@ int main(int argc, char** argv) {
             "\nsteady-state allocations per message (fast path): %.4f\n",
             worst_allocs);
 
-        coalesce = run_burst(net::WritePolicy::kCoalesce);
-        direct = run_burst(net::WritePolicy::kDirect);
-        std::printf("burst syscalls/frame: coalesce %.3f (max batch %llu), "
-                    "direct %.3f\n",
+        coalesce = run_burst();
+        std::printf("burst syscalls/frame: coalesce %.3f (max batch %llu)\n",
                     coalesce.syscalls_per_frame,
-                    static_cast<unsigned long long>(coalesce.max_batch_frames),
-                    direct.syscalls_per_frame);
+                    static_cast<unsigned long long>(coalesce.max_batch_frames));
     }
 
     // ---- co-located shm rung: segment wire vs TCP fast path, same run ----
@@ -893,10 +888,8 @@ int main(int argc, char** argv) {
                          worst_allocs);
             std::fprintf(f,
                          "  \"burst\": {\"coalesce_syscalls_per_frame\": %.3f, "
-                         "\"direct_syscalls_per_frame\": %.3f, "
                          "\"max_batch_frames\": %llu},\n",
                          coalesce.syscalls_per_frame,
-                         direct.syscalls_per_frame,
                          static_cast<unsigned long long>(
                              coalesce.max_batch_frames));
         }

@@ -167,17 +167,6 @@ CclRemoteRoute parse_remote_route(const xml::XmlNode& node,
         }
         route.policy.band = static_cast<int>(v);
     }
-    if (const xml::XmlNode* coalesce = node.child("Coalesce")) {
-        if (coalesce->text == "On") {
-            route.policy.coalesce = true;
-        } else if (coalesce->text == "Off") {
-            route.policy.coalesce = false;
-        } else {
-            throw CclError("Coalesce of route '" + route.route +
-                           "' must be 'On' or 'Off', got '" + coalesce->text +
-                           "' (line " + std::to_string(coalesce->line) + ")");
-        }
-    }
     return route;
 }
 

@@ -55,14 +55,14 @@ struct CclComponent {
 
 /// One <Export> or <Import> inside a <Remote>: binds an instance's port
 /// to a named wire route, optionally pinning the route's transmission
-/// policy — <Band> and <Coalesce> (exports only; imports take the band
-/// stamped by the peer).
+/// policy — <Band> (exports only; imports take the band stamped by the
+/// peer).
 struct CclRemoteRoute {
     std::string component; ///< instance name
     std::string port;
     std::string route; ///< wire route name
     /// Route policy: policy.band -1 derives the lane from the port's
-    /// default priority; policy.coalesce maps <Coalesce>On/Off.
+    /// default priority.
     core::TransmissionPolicy policy;
     int line = 0;
 };

@@ -113,7 +113,6 @@ void dump_plan(const AssemblyPlan& plan, std::ostream& out) {
             } else {
                 out << "auto";
             }
-            if (!r.policy.coalesce) out << " coalesce=off";
             out << "\n";
         }
         for (const auto& r : remote.imports) {

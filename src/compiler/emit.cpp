@@ -134,9 +134,6 @@ std::string emit_ccl(const CclModel& model) {
                 n->children.push_back(
                     text_element("Band", std::to_string(route.policy.band)));
             }
-            if (!route.policy.coalesce) {
-                n->children.push_back(text_element("Coalesce", "Off"));
-            }
             return n;
         };
         for (const CclRemoteRoute& route : remote.exports) {

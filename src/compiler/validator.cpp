@@ -414,13 +414,6 @@ AssemblyPlan validate_and_plan(const CdlModel& cdl, const CclModel& ccl) {
                                  "stamped by the exporting peer");
                 continue;
             }
-            if (!r.policy.coalesce) {
-                issues.push_back("remote '" + remote.name + "' import '" +
-                                 r.route +
-                                 "' declares <Coalesce>; the exporting peer "
-                                 "owns the route's wire policy");
-                continue;
-            }
             if (port == nullptr) continue;
             PlannedRemoteRoute planned;
             planned.instance = r.component;

@@ -119,8 +119,8 @@ struct RecomposeOptions {
     /// When set, apply_recompose maintains recompose_* counters and the
     /// recompose_pause_ns histogram here.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Applies a remote repolicy (band / coalescing / overflow on a bridge
-    /// export) and returns the quiesce->resume pause in ns. Wire
+    /// Applies a remote repolicy (band / overflow on a bridge export) and
+    /// returns the quiesce->resume pause in ns. Wire
     /// remote::recompose_applier(bridge) in here. A plan with remote
     /// repolicies and no applier aborts.
     std::function<std::uint64_t(const RecomposeRepolicy&)> remote_applier;

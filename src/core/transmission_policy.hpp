@@ -8,12 +8,13 @@
 //   * overflow  — what happens to a sender when every <BufferSize> credit
 //     is in flight (Block backpressure vs Ring freshest-value overwrite),
 //   * band      — which priority lane a remote route's frames ride
-//     (-1 = derive from the Out port's default priority),
-//   * coalesce  — whether the route's wire batches frames into one sendmsg
-//     or flushes each frame immediately.
+//     (-1 = derive from the Out port's default priority).
 //
-// One TransmissionPolicy value travels from the CCL (<Overflow>, <Band>,
-// <Coalesce>) through the validator's plan into the live port, and is the
+// How a wire writes frames is not policy: every TCP wire has one writer,
+// the coalescing drain (net/tcp.hpp).
+//
+// One TransmissionPolicy value travels from the CCL (<Overflow>, <Band>)
+// through the validator's plan into the live port, and is the
 // unit of runtime recomposition: core/recompose.hpp swaps a route's policy
 // under a quiesced credit window without dropping a frame.
 #pragma once
@@ -31,20 +32,17 @@ enum class OverflowPolicy {
 };
 
 /// Per-route transmission policy. `overflow` applies to every route;
-/// `band` and `coalesce` only matter for remote routes (a local hop has no
-/// wire) and are carried untouched so a route exported later keeps them.
+/// `band` only matters for remote routes (a local hop has no wire) and is
+/// carried untouched so a route exported later keeps it.
 struct TransmissionPolicy {
     OverflowPolicy overflow = OverflowPolicy::kBlock;
     /// Priority lane of a remote route (0 = most urgent). -1 derives the
     /// band from the Out port's default priority at export time.
     int band = -1;
-    /// Wire write coalescing for the route's lane (CCL <Coalesce>).
-    bool coalesce = true;
 
     friend bool operator==(const TransmissionPolicy& a,
                            const TransmissionPolicy& b) noexcept {
-        return a.overflow == b.overflow && a.band == b.band &&
-               a.coalesce == b.coalesce;
+        return a.overflow == b.overflow && a.band == b.band;
     }
     friend bool operator!=(const TransmissionPolicy& a,
                            const TransmissionPolicy& b) noexcept {
@@ -52,13 +50,12 @@ struct TransmissionPolicy {
     }
 };
 
-/// "ring, band=2, direct" — for plan dumps and diagnostics.
+/// "ring, band=2" — for plan dumps and diagnostics.
 inline std::string to_string(const TransmissionPolicy& p) {
     std::string out =
         p.overflow == OverflowPolicy::kRingOverwrite ? "ring" : "block";
     out += ", band=";
     out += p.band < 0 ? std::string("auto") : std::to_string(p.band);
-    out += p.coalesce ? ", coalesce" : ", direct";
     return out;
 }
 

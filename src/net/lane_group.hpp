@@ -127,22 +127,6 @@ public:
     std::size_t lane_count() const noexcept override { return lanes_.size(); }
     Transport& lane(std::size_t i) noexcept override { return *lanes_[i]; }
 
-    /// Flip every lane's coalescing writer at once (Transport seam).
-    void set_coalescing(bool on) override {
-        for (auto& lane : lanes_) lane->set_coalescing(on);
-    }
-
-    /// Flip only the lane currently carrying `band` — live recomposition
-    /// repolicies one route's band without touching the others' wires.
-    /// No-op when every lane is dead.
-    void set_band_coalescing(std::size_t band, bool on) {
-        if (route_.empty()) return;
-        if (band >= route_.size()) band = route_.size() - 1;
-        const std::size_t idx = route_[band].load(std::memory_order_acquire);
-        if (idx == kNoLane) return;
-        lanes_[idx]->set_coalescing(on);
-    }
-
     TransportStats lane_stats(std::size_t i) const { return lanes_[i]->stats(); }
     /// The pool backing band i's lane (the global pool for a lane built
     /// without one). Encoders acquire outbound storage here so the

@@ -210,11 +210,16 @@ std::shared_ptr<ShmSegment> ShmSegment::attach(const std::string& name,
                              std::to_string(h.version) + ", expected v" +
                              std::to_string(shm_detail::kVersion));
     }
+    // The peer wrote this header: hold it to the bounds normalize() gives
+    // the creator. A zero arena would divide by zero at the first send,
+    // and a frame bound past half the arena could wait forever for space.
     if (h.bands < 1 || h.bands > shm_detail::kMaxShmBands ||
         shm_detail::segment_bytes(h.bands, h.ring_capacity, h.arena_bytes) !=
             total ||
         (h.ring_capacity & (h.ring_capacity - 1)) != 0 ||
-        h.ring_capacity < 2) {
+        h.ring_capacity < 2 || h.ring_capacity > (1u << 20) ||
+        h.arena_bytes < 4096 || h.arena_bytes % 8 != 0 ||
+        h.max_frame_bytes < 64 || h.max_frame_bytes > h.arena_bytes / 2) {
         throw TransportError("shm segment geometry corrupt: " + name);
     }
     if (h.generation != generation) {
@@ -1002,10 +1007,9 @@ private:
     /// [tail, head) outbound frames over TCP — band 0 first, and ahead of
     /// any newer sends, which serialize behind send_mu_ — then treat the
     /// peer's production side as finished. The replay batch-reserves
-    /// pooled buffers and stages frames through the coalescing TCP
-    /// writer, so a 400-frame resend costs a handful of pool-lock
-    /// acquisitions and a few large writev flushes instead of one lock
-    /// and one syscall per frame.
+    /// pooled buffers, so a 400-frame resend costs a handful of pool-lock
+    /// acquisitions; each frame then goes through the TCP wire's one
+    /// writer like any other send.
     void complete_peer_bye_locked() {
         if (!bye_pending_.exchange(false, std::memory_order_acq_rel)) return;
         std::array<std::unique_lock<std::mutex>, shm_detail::kMaxShmBands>
@@ -1014,17 +1018,8 @@ private:
             band_locks[b] = std::unique_lock(tx_[b].mu);
         }
         tx_up_.store(false, std::memory_order_release);
-        const bool coalesce = tcp_up_.load(std::memory_order_relaxed);
-        if (coalesce) tcp_->set_coalescing(true);
         for (std::size_t b = 0; b < bands_; ++b) {
             replay_band_locked(tx_[b], tx_dir(b));
-        }
-        if (coalesce) {
-            try {
-                tcp_->set_coalescing(false); // flush the staged replay
-            } catch (const TransportError&) {
-                tcp_up_.store(false, std::memory_order_release);
-            }
         }
         rx_peer_done_.store(true, std::memory_order_release);
         wake_local_waiters();

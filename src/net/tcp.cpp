@@ -53,6 +53,10 @@ void set_buffer_bounds(int fd, const TcpOptions& options) {
 /// per frame (header, then body).
 constexpr std::size_t kRecvScratchBytes = 16 * 1024;
 
+/// Frames per scatter-gather flush: the latency bound one drain imposes on
+/// a frame queued behind a sustained burst.
+constexpr std::size_t kMaxBatchFrames = 16;
+
 /// Read exactly n bytes; false on orderly EOF at a frame boundary.
 bool read_exact(int fd, std::uint8_t* dst, std::size_t n) {
     std::size_t got = 0;
@@ -80,8 +84,8 @@ public:
         set_nodelay(fd_);
         set_buffer_bounds(fd_, opts_);
         // Writer-only scratch, sized once: drains never touch the heap.
-        batch_.reserve(opts_.max_batch_frames ? opts_.max_batch_frames : 1);
-        iov_.reserve(batch_.capacity());
+        batch_.reserve(kMaxBatchFrames);
+        iov_.reserve(kMaxBatchFrames);
     }
 
     ~TcpTransport() override {
@@ -99,23 +103,6 @@ public:
                 ? cdr::frame_band(frame.data())
                 : 0);
         std::unique_lock lk(mu_);
-        if (opts_.policy == WritePolicy::kDirect) {
-            // Serialize writers on the same flag close() waits on.
-            if (!closing_ && writer_active_) {
-                send_stalls_.fetch_add(1, std::memory_order_relaxed);
-            }
-            cv_.wait(lk, [&] { return closing_ || !writer_active_; });
-            throw_if_unwritable();
-            if (opts_.policy == WritePolicy::kDirect) {
-                writer_active_ = true;
-                batch_.push_back(std::move(frame));
-                flush_direct(lk); // unlocks around write; rethrows on failure
-                return;
-            }
-            // enter_reactor_mode flipped the policy while we waited (the
-            // flip can also leave a kAgain'd direct batch parked, see
-            // flush_direct): fall through to the coalescing path.
-        }
         if (t_reactor_loop_thread && !closing_ && !send_failed_ &&
             count_ == intake_.size()) {
             // A loop-thread sender (frame/closed callback replying under
@@ -285,28 +272,6 @@ public:
         pool_ = pool ? pool : &FrameBufferPool::global();
     }
 
-    void set_coalescing(bool on) override {
-        std::unique_lock lk(mu_);
-        // Reactor mode forces coalescing (a parked batch lives in the
-        // coalescer's staging area, which kDirect doesn't have); treat the
-        // request as satisfied rather than breaking the parked-write path.
-        if (nonblocking_.load(std::memory_order_relaxed)) return;
-        const WritePolicy want =
-            on ? WritePolicy::kCoalesce : WritePolicy::kDirect;
-        if (opts_.policy == want) return;
-        opts_.policy = want;
-        if (on) return;
-        // Switching to direct: frames the coalescer staged would have no
-        // drainer once senders go direct — push them onto the wire now.
-        if (writer_active_ || parked_ || count_ == 0) return;
-        if (closing_ || send_failed_) return;
-        writer_active_ = true;
-        const bool want_writable = drain(lk);
-        lk.unlock();
-        cv_.notify_all();
-        if (want_writable && request_writable_) request_writable_();
-    }
-
     // ---- ReactorHook ----
 
     int descriptor() const noexcept override { return fd_; }
@@ -315,11 +280,6 @@ public:
         std::lock_guard lk(mu_);
         const int flags = ::fcntl(fd_, F_GETFL, 0);
         if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-        // Parked-write resumption stages EAGAIN'd output in the intake
-        // machinery; kDirect has nowhere to stage it, so reactor mode
-        // always coalesces (uncontended it degenerates to one sendmsg per
-        // frame anyway).
-        opts_.policy = WritePolicy::kCoalesce;
         request_writable_ = std::move(request_writable);
         nonblocking_.store(true, std::memory_order_relaxed);
     }
@@ -463,19 +423,18 @@ private:
         parked_ = false;
     }
 
-    /// Writer loop: repeatedly peel up to max_batch_frames off the intake
+    /// Writer loop: repeatedly peel up to kMaxBatchFrames off the intake
     /// (or resume a parked batch) and ship them with one scatter-gather
     /// syscall each flush. Entered with mu_ held and writer_active_ set;
     /// returns the same way with writer_active_ cleared. Returns true when
     /// the batch parked on EAGAIN and the caller must invoke
     /// request_writable_ (outside the lock) so the reactor resumes it.
     bool drain(std::unique_lock<std::mutex>& lk) {
-        const std::size_t cap =
-            opts_.max_batch_frames ? opts_.max_batch_frames : 1;
         while (!closing_ && !send_failed_) {
             if (!parked_) {
                 if (count_ == 0) break;
-                const std::size_t n = count_ < cap ? count_ : cap;
+                const std::size_t n =
+                    count_ < kMaxBatchFrames ? count_ : kMaxBatchFrames;
                 for (std::size_t i = 0; i < n; ++i) batch_.push_back(dequeue());
                 stage_batch();
             } else {
@@ -520,51 +479,6 @@ private:
         }
         writer_active_ = false;
         return false;
-    }
-
-    /// Direct-policy flush of the single frame staged in batch_. Entered
-    /// with mu_ held and writer_active_ set; returns (or throws) with mu_
-    /// released. Normally the socket is blocking and the write completes
-    /// or fails — but enter_reactor_mode can flip the fd to O_NONBLOCK
-    /// while this send is in flight (the only way a direct flush sees
-    /// kAgain), and that must not poison the transport: the remainder
-    /// parks exactly as drain() would, and the reactor's EPOLLOUT resumes
-    /// it. The policy is already kCoalesce for every later sender.
-    void flush_direct(std::unique_lock<std::mutex>& lk) {
-        stage_batch();
-        lk.unlock();
-        const WriteOutcome outcome = write_batch_step();
-        if (outcome == WriteOutcome::kAgain) {
-            lk.lock();
-            parked_ = true;
-            writer_active_ = false;
-            lk.unlock();
-            cv_.notify_all();
-            // kAgain implies nonblocking_, which enter_reactor_mode set
-            // (under mu_, since reacquired) after request_writable_ — the
-            // hook is safely visible. The frame is accounted as sent (or
-            // dropped) when the parked batch finishes in drain().
-            if (request_writable_) request_writable_();
-            return;
-        }
-        for (auto& b : batch_) b.release();
-        batch_.clear();
-        iov_.clear();
-        iov_at_ = 0;
-        lk.lock();
-        writer_active_ = false;
-        if (outcome == WriteOutcome::kDone) {
-            frames_sent_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-            send_failed_ = true;
-            frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
-        const int err = send_errno_;
-        lk.unlock();
-        cv_.notify_all();
-        if (outcome != WriteOutcome::kDone) {
-            throw TransportError(std::string("send: ") + std::strerror(err));
-        }
     }
 
     /// Build the iovec array for batch_ and account the flush attempt.

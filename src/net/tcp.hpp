@@ -7,27 +7,22 @@
 // request/reply traffic at message sizes of 32-1024 B would otherwise
 // serialize behind Nagle.
 //
-// Sending is policy-selectable (the same Block/Ring-style seam the
-// delivery fabric uses for overflow):
-//   * kDirect   — every send_frame issues its own sendmsg: lowest code in
-//                 the way, one syscall per frame.
-//   * kCoalesce — senders enqueue into a bounded intake ring; whichever
-//                 thread finds no writer active drains the ring with
-//                 scatter-gather sendmsg calls (up to max_batch_frames
-//                 iovecs per flush, so one busy sender cannot starve the
-//                 wire of latency). Under bursts the drain combines frames
-//                 from every sender: syscalls per message drop below one.
-// Uncontended, kCoalesce degenerates to the direct path (enqueue + inline
-// flush of a single frame) — same latency, same syscall count.
+// Every wire has one writer: the coalescing drain. Senders enqueue into a
+// bounded intake ring; whichever thread finds no writer active drains the
+// ring with scatter-gather sendmsg calls (up to 16 iovecs per flush, so
+// one busy sender cannot starve the wire of latency). Under bursts the
+// drain combines frames from every sender, so syscalls per message drop
+// below one; uncontended it is one enqueue plus an inline flush of a
+// single frame — one syscall, no added latency.
 //
 // All writes use sendmsg(MSG_NOSIGNAL): a vanished peer surfaces as a
 // TransportError on the sending thread, never as a SIGPIPE process kill.
 //
 // Reactor mode (net/reactor.hpp): the transport exposes a ReactorHook, so
 // an epoll loop can own the read direction (recv_frame then throws) and
-// resume EAGAIN-parked coalescing batches on EPOLLOUT. Entering reactor
-// mode sets O_NONBLOCK and forces kCoalesce — the parked batch lives in
-// the coalescer's staging area, which kDirect doesn't have.
+// resume EAGAIN-parked batches on EPOLLOUT. Entering reactor mode sets
+// O_NONBLOCK; a batch the socket will not take parks in the writer's
+// staging area until the loop resumes it.
 #pragma once
 
 #include "net/transport.hpp"
@@ -38,17 +33,9 @@
 
 namespace compadres::net {
 
-enum class WritePolicy : std::uint8_t {
-    kDirect,   ///< one sendmsg per frame
-    kCoalesce, ///< batched scatter-gather drain (default)
-};
-
 struct TcpOptions {
-    WritePolicy policy = WritePolicy::kCoalesce;
     /// Upper bound on GIOP header + body accepted by recv_frame.
     std::size_t max_frame_bytes = 16 * 1024 * 1024;
-    /// Frames per scatter-gather flush (latency bound under sustained load).
-    std::size_t max_batch_frames = 16;
     /// Coalescer intake bound; a full intake blocks senders (backpressure),
     /// exactly like the blocking write it replaced.
     std::size_t intake_capacity = 64;

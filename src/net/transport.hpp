@@ -156,13 +156,9 @@ public:
     /// transports without pooled receive storage.
     virtual void set_frame_pool(FrameBufferPool*) noexcept {}
 
-    /// Switch the write side between coalescing (batch via the writer
-    /// thread) and direct (write in the sender's context) at runtime,
-    /// without reconnecting. Live recomposition uses this when a route's
-    /// TransmissionPolicy flips its coalesce bit. Queued frames are never
-    /// dropped by the switch; in reactor mode the coalescing writer is
-    /// structural and the call is a no-op. Default no-op for transports
-    /// without a coalescing writer.
+    /// No-op with no caller in src/: every TCP wire has one writer (the
+    /// coalescing drain, net/tcp.hpp), so there is nothing to switch.
+    /// Kept only because perfbench's TracedTransport still overrides it.
     virtual void set_coalescing(bool) {}
 
     /// Number of underlying wires. 1 for plain transports; a LaneGroup

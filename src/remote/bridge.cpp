@@ -71,11 +71,10 @@ public:
         bridge_->sent_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /// Re-resolve everything the route's TransmissionPolicy drives: the
-    /// band stamped into the header template (every frame classifies for
-    /// free), the lane pool outbound storage is drawn from (a route's
-    /// whole send path stays inside one pool ring), and the carrying
-    /// lane's coalescing writer. Called at construction and by
+    /// Re-resolve what the route's band drives: the band stamped into the
+    /// header template (every frame classifies for free) and the lane
+    /// pool outbound storage is drawn from (a route's whole send path
+    /// stays inside one pool ring). Called at construction and by
     /// repolicy_route — the latter only while the export In port's credit
     /// window is closed and drained, so no concurrent process_raw can
     /// observe the mutation half-applied.
@@ -96,13 +95,6 @@ public:
             const std::size_t lane = net::LanePolicy::band_for_frame(
                 header_template_.data(), lanes);
             pool_ = &bridge_->wire_->lane(lane).frame_pool();
-        }
-        if (auto* group = dynamic_cast<net::LaneGroup*>(bridge_->wire_.get())) {
-            group->set_band_coalescing(
-                band >= 0 ? static_cast<std::size_t>(band) : 0,
-                policy.coalesce);
-        } else {
-            bridge_->wire_->set_coalescing(policy.coalesce);
         }
     }
 
@@ -298,7 +290,7 @@ std::uint64_t RemoteBridge::repolicy_route(const std::string& route,
     // Quiesce-reroute-resume on the export In port: new senders park at
     // the closed credit window, in-flight serializations drain, and the
     // swap mutates both the port's admission policy and the handler's
-    // wire-side state (band stamp, lane pool, coalescing) while nothing
+    // wire-side state (band stamp, lane pool) while nothing
     // can observe them.
     const std::uint64_t pause = core::quiesced_swap(*exp->in, [&] {
         exp->in->set_policy(policy);

@@ -57,15 +57,16 @@ public:
 
     /// Ship everything `local_out` sends to the peer under `route`.
     /// The message type must have a registered serializer. The route's
-    /// TransmissionPolicy drives every transmission knob at once:
+    /// TransmissionPolicy drives both of its knobs at once:
     ///   * overflow — the export In port's admission policy (block the
     ///     sender vs ring-overwrite the oldest queued message);
     ///   * band — the priority-banded lane the route's frames ride when
     ///     the wire is a net::LaneGroup (stamped once into the route's
     ///     header template); band < 0 derives it from the port's default
     ///     priority via net::LanePolicy on a multi-lane wire, and leaves
-    ///     single-wire frames byte-identical to stock GIOP;
-    ///   * coalesce — the carrying lane's write batching.
+    ///     single-wire frames byte-identical to stock GIOP.
+    /// Write batching is not per-route: every TCP wire's one writer
+    /// coalesces (net/tcp.hpp).
     void export_route(core::OutPortBase& local_out, const std::string& route,
                       core::TransmissionPolicy policy = {});
 
@@ -84,8 +85,8 @@ public:
     /// Swap an exported route's TransmissionPolicy on the RUNNING bridge —
     /// the one route mutation allowed after start(). The export In port's
     /// credit window closes, in-flight sends drain, the policy (overflow
-    /// admission, header-template band, lane pool, lane coalescing) swaps
-    /// atomically, and the window reopens: senders stall for the pause,
+    /// admission, header-template band, lane pool) swaps atomically, and
+    /// the window reopens: senders stall for the pause,
     /// no frame is dropped or reordered. Returns the quiesce→resume pause
     /// in nanoseconds. Throws BridgeError for unknown routes or bands
     /// beyond the wire limit.

@@ -154,7 +154,8 @@ AssemblyPlan plan_of(const char* ccl) {
     return validate_and_plan(parse_cdl_string(kCdl), parse_ccl_string(ccl));
 }
 
-std::string remote_ccl(int band, const char* coalesce, int bands = 2) {
+/// `extra` is spliced into the <Export> after its <Band>.
+std::string remote_ccl(int band, const char* extra, int bands = 2) {
     std::ostringstream s;
     s << R"(
 <Application>
@@ -168,7 +169,7 @@ std::string remote_ccl(int band, const char* coalesce, int bands = 2) {
   <Bands>)" << bands
       << R"(</Bands>
   <Export><Component>src</Component><Port>out</Port><Route>telemetry</Route><Band>)"
-      << band << "</Band>" << coalesce << R"(</Export>
+      << band << "</Band>" << extra << R"(</Export>
  </Remote>
 </Application>)";
     return s.str();
@@ -272,8 +273,7 @@ TEST(DiffPlans, RemotePolicyChangeBecomesRemoteRepolicy) {
         validate_and_plan(parse_cdl_string(kCdl),
                           parse_ccl_string(remote_ccl(0, "")));
     const AssemblyPlan to = validate_and_plan(
-        parse_cdl_string(kCdl),
-        parse_ccl_string(remote_ccl(1, "<Coalesce>Off</Coalesce>")));
+        parse_cdl_string(kCdl), parse_ccl_string(remote_ccl(1, "")));
     const core::RecomposePlan plan = diff_plans(from, to);
     ASSERT_EQ(plan.repolicies.size(), 1u);
     const core::RecomposeRepolicy& r = plan.repolicies[0];
@@ -282,8 +282,14 @@ TEST(DiffPlans, RemotePolicyChangeBecomesRemoteRepolicy) {
     EXPECT_EQ(r.route, "telemetry");
     EXPECT_EQ(r.from.band, 0);
     EXPECT_EQ(r.to.band, 1);
-    EXPECT_TRUE(r.from.coalesce);
-    EXPECT_FALSE(r.to.coalesce);
+    EXPECT_EQ(r.from.overflow, r.to.overflow);
+
+    // <Coalesce> is not policy (every TCP wire has one writer): an older
+    // CCL that still carries it plans exactly as one without.
+    const AssemblyPlan leftover = validate_and_plan(
+        parse_cdl_string(kCdl),
+        parse_ccl_string(remote_ccl(1, "<Coalesce>Off</Coalesce>")));
+    EXPECT_TRUE(diff_plans(to, leftover).empty());
 
     // The lane-group width is fixed by the startup handshake.
     const AssemblyPlan wider = validate_and_plan(

@@ -301,7 +301,6 @@ TEST_P(EmitFuzzTest, RandomCclRoundTrips) {
                 rng() % 2 == 0 ? -1 : static_cast<int>(rng() % remote.bands);
             core::TransmissionPolicy policy;
             policy.band = band;
-            policy.coalesce = rng() % 2 == 0;
             remote.exports.push_back({"inst0", "p" + std::to_string(e),
                                       "route" + std::to_string(r * 8 + e),
                                       policy, 0});

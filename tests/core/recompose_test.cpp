@@ -377,7 +377,6 @@ TEST_F(RecomposeTest, DescribeRendersEveryOperationKind) {
     rep.port = "in";
     rep.to.overflow = core::OverflowPolicy::kRingOverwrite;
     rep.to.band = 2;
-    rep.to.coalesce = false;
     plan.repolicies.push_back(rep);
     plan.route_removes.push_back({"src", "out", "old", "in", 0});
     plan.retires.push_back("old");
@@ -388,8 +387,7 @@ TEST_F(RecomposeTest, DescribeRendersEveryOperationKind) {
         << text;
     EXPECT_NE(text.find("+ route src.out -> snk.in"), std::string::npos);
     EXPECT_NE(text.find("~ repolicy snk.in"), std::string::npos);
-    EXPECT_NE(text.find("[block, band=auto, coalesce] -> "
-                        "[ring, band=2, direct]"),
+    EXPECT_NE(text.find("[block, band=auto] -> [ring, band=2]"),
               std::string::npos)
         << text;
     EXPECT_NE(text.find("- route src.out -> old.in"), std::string::npos);

@@ -297,18 +297,17 @@ TEST(Tcp, CloseDropsQueuedFramesDeterministically) {
     EXPECT_GT(stats.frames_dropped, 0u);
 }
 
-TEST(Tcp, DirectPolicySurvivesReactorFlipMidSend) {
-    // enter_reactor_mode can flip the fd to O_NONBLOCK while a kDirect
-    // send is blocked in sendmsg: the next partial-write step then sees
-    // EAGAIN. That must park the remainder for EPOLLOUT resumption (here
-    // stood in for by a polling flusher thread), never poison the
-    // transport as a hard send failure.
-    net::TcpOptions direct;
-    direct.policy = net::WritePolicy::kDirect;
-    direct.send_buffer_bytes = 16 * 1024;
-    direct.recv_buffer_bytes = 16 * 1024;
-    net::TcpAcceptor acceptor(0, direct);
-    auto [client, server_side] = tcp_pair(acceptor, direct);
+TEST(Tcp, WriterSurvivesReactorFlipMidSend) {
+    // enter_reactor_mode can flip the fd to O_NONBLOCK while a drain is
+    // blocked in sendmsg: the next partial-write step then sees EAGAIN.
+    // That must park the batch for EPOLLOUT resumption (here stood in for
+    // by a polling flusher thread), never poison the transport as a hard
+    // send failure.
+    net::TcpOptions small;
+    small.send_buffer_bytes = 16 * 1024;
+    small.recv_buffer_bytes = 16 * 1024;
+    net::TcpAcceptor acceptor(0, small);
+    auto [client, server_side] = tcp_pair(acceptor, small);
 
     constexpr int kFrames = 32;
     std::thread sender([&client] {

@@ -242,6 +242,46 @@ TEST(ShmSegment, RejectsDoubleAttach) {
     }
 }
 
+namespace {
+
+/// Create a 512-slot, 4 KiB-arena segment, let `corrupt` rewrite its
+/// header as a hostile creator could, and return the attach error.
+template <typename Corrupt>
+std::string attach_error_after(Corrupt corrupt) {
+    net::ShmOptions opts;
+    opts.ring_capacity = 512;
+    opts.arena_bytes = 4096;
+    auto seg = net::ShmSegment::create(opts);
+    corrupt(seg->header());
+    try {
+        net::ShmSegment::attach(seg->name(), seg->generation());
+    } catch (const net::TransportError& e) {
+        return e.what();
+    }
+    return "attached";
+}
+
+} // namespace
+
+TEST(ShmSegment, RejectsCorruptGeometry) {
+    // A zero arena with the ring doubled keeps the segment size exact
+    // (512 extra 8-byte slots per direction replace the 4 KiB arena).
+    const std::string zero_arena =
+        attach_error_after([](net::shm_detail::SegHeader& h) {
+            h.ring_capacity = 1024;
+            h.arena_bytes = 0;
+        });
+    EXPECT_NE(zero_arena.find("geometry corrupt"), std::string::npos)
+        << zero_arena;
+    // A frame bound no arena can hold.
+    const std::string oversized_frame =
+        attach_error_after([](net::shm_detail::SegHeader& h) {
+            h.max_frame_bytes = 4 * h.arena_bytes;
+        });
+    EXPECT_NE(oversized_frame.find("geometry corrupt"), std::string::npos)
+        << oversized_frame;
+}
+
 TEST(ShmSegment, AttachReportsMissingSegmentAsCrossHost) {
     try {
         net::ShmSegment::attach("/compadres.0.0.nonexistent", 1);

@@ -1,5 +1,5 @@
 // Live repolicy of remote routes: RemoteBridge::repolicy_route swaps a
-// route's TransmissionPolicy (overflow, band, coalescing) on a RUNNING
+// route's TransmissionPolicy (overflow, band) on a RUNNING
 // bridge mid-burst — zero messages lost or duplicated, frames_dropped
 // flat, and new frames ride the new lane.
 #include "remote/bridge.hpp"
@@ -110,11 +110,10 @@ TEST_F(RemoteRecomposeTest, RepolicyMidBurstLosesAndDuplicatesNothing) {
     });
 
     // Repolicy the live route repeatedly while the burst is in flight:
-    // Block<->Ring, band 1<->0, coalescing on/off.
+    // Block<->Ring, band 1<->0.
     core::TransmissionPolicy urgent;
     urgent.overflow = core::OverflowPolicy::kRingOverwrite;
     urgent.band = 0;
-    urgent.coalesce = false;
     core::TransmissionPolicy bulk = initial;
     for (int flip = 0; flip < 10; ++flip) {
         const core::TransmissionPolicy& next = flip % 2 == 0 ? urgent : bulk;
@@ -217,7 +216,7 @@ TEST_F(RemoteRecomposeTest, RepolicyValidatesRouteAndBand) {
     ring.overflow = core::OverflowPolicy::kRingOverwrite;
     bridge_a.repolicy_route("r", ring);
     bridge_a.start();
-    ring.coalesce = false;
+    ring.overflow = core::OverflowPolicy::kBlock;
     bridge_a.repolicy_route("r", ring);
     EXPECT_EQ(bridge_a.export_policy("r"), ring);
 
@@ -255,7 +254,6 @@ TEST_F(RemoteRecomposeTest, ApplyRecomposeDrivesRemoteRepolicyViaApplier) {
     rep.route = "telemetry";
     rep.from = bulk;
     rep.to.band = 0;
-    rep.to.coalesce = false;
     plan.repolicies.push_back(rep);
 
     core::RecomposeOptions opts;
