@@ -77,6 +77,10 @@ void Dispatcher::ensure_capacity(std::size_t min_threads,
 }
 
 void Dispatcher::worker_loop() {
+    // The priority this worker last asked for, starting from the base
+    // priority RtThread applied before this loop. Runs of equal priority
+    // skip the syscall, and a denied value is not asked for again.
+    int applied = rt::Priority::clamped(config_.base_priority.value).value;
     for (;;) {
         auto item = queue_.pop();
         if (!item.has_value()) return; // closed and drained
@@ -91,7 +95,11 @@ void Dispatcher::worker_loop() {
         busy_.fetch_add(1);
         // The pool thread assumes the priority of the message it is about
         // to process (paper §2.2). Best-effort under an unprivileged OS.
-        rt::try_set_current_thread_priority(rt::Priority::clamped(item->second));
+        const int prio = rt::Priority::clamped(item->second).value;
+        if (prio != applied) {
+            rt::try_set_current_thread_priority(rt::Priority{prio});
+            applied = prio;
+        }
         if (!execute(item->first)) errors_.fetch_add(1);
         processed_.fetch_add(1);
         busy_.fetch_sub(1);

@@ -195,10 +195,11 @@ std::shared_ptr<ShmSegment> ShmSegment::attach(const std::string& name,
         throw TransportError(std::string("shm mmap failed: ") +
                              std::strerror(errno));
     }
+    // side_ stays unowned until the attached[1] claim below succeeds: a
+    // rejected attach must not detach (or unlink) a segment it never held.
     auto seg = std::shared_ptr<ShmSegment>(new ShmSegment());
     seg->base_ = static_cast<std::uint8_t*>(base);
     seg->map_bytes_ = total;
-    seg->side_ = 1;
     seg->name_ = name;
 
     SegHeader& h = seg->header();
@@ -232,6 +233,7 @@ std::shared_ptr<ShmSegment> ShmSegment::attach(const std::string& name,
                                                std::memory_order_acq_rel)) {
         throw TransportError("shm segment already attached: " + name);
     }
+    seg->side_ = 1;
     h.pid[1].store(static_cast<std::uint32_t>(getpid()),
                    std::memory_order_release);
     return seg;
@@ -263,13 +265,13 @@ std::uint8_t* ShmSegment::arena(int side, std::size_t band) const noexcept {
 }
 
 void ShmSegment::detach() noexcept {
-    if (base_ != nullptr) {
+    if (base_ != nullptr && side_ != kNoSide) {
         header().attached[side_].store(0, std::memory_order_release);
     }
 }
 
 void ShmSegment::unlink() noexcept {
-    if (!unlinked_ && !name_.empty()) {
+    if (!unlinked_ && side_ != kNoSide && !name_.empty()) {
         unlinked_ = true;
         shm_unlink(name_.c_str());
     }

@@ -242,11 +242,15 @@ public:
     void unlink() noexcept;
 
 private:
+    /// side_ of a mapping that has not claimed a side (yet): detach() and
+    /// unlink() leave such a segment alone.
+    static constexpr int kNoSide = -1;
+
     ShmSegment() = default;
     std::string name_;
     std::uint8_t* base_ = nullptr;
     std::size_t map_bytes_ = 0;
-    int side_ = 0;
+    int side_ = kNoSide;
     bool unlinked_ = false;
 };
 

@@ -3,14 +3,19 @@
 // Three-level structure, assembled from Compadres components:
 //
 //   level 0 (immortal): Orb component — the application-facing API
-//   level 1 (scoped):   Transport component — owns the wire
-//   level 2 (scoped):   MessageProcessing component — GIOP marshalling,
-//                       request/reply exchange on the wire
+//   level 1 (scoped):   Transport component — owns the wire, the table of
+//                       pending replies and the one reply reader thread
+//   level 2 (scoped):   MessageProcessing component — GIOP marshalling
 //
 // invoke() pushes an OrbRequest through the component pipeline
 // (Orb -> Transport -> MessageProcessing, each hop an internal port into a
-// child scope); MessageProcessing marshals the GIOP Request, performs the
-// blocking exchange, demarshals the Reply and completes the caller.
+// child scope, each copying into the child's pool). Both ports are
+// synchronous (pool size 0), so the invoking thread relays, marshals and
+// sends at its own priority, as in RT-CORBA's client-propagated model.
+// MessageProcessing registers the caller's Completion under the request
+// id before sending; the reply reader decodes each Reply or LocateReply
+// off the wire and completes the entry it names. The caller then wakes
+// once per call, on its Completion.
 #pragma once
 
 #include "core/application.hpp"
@@ -44,7 +49,8 @@ public:
     ClientOrb& operator=(const ClientOrb&) = delete;
 
     /// Synchronous remote invocation. Returns the reply payload; throws
-    /// OrbError on user/system exceptions or transport failure.
+    /// OrbError on user/system exceptions or transport failure, including
+    /// a connection that closes while the call waits.
     /// One invocation is outstanding at a time (invocations serialize), as
     /// in the paper's round-trip measurement.
     std::vector<std::uint8_t> invoke(const std::string& object_key,
@@ -55,9 +61,11 @@ public:
 
     /// Bounded-time invocation: throws OrbTimeout if the reply does not
     /// arrive within `deadline` — the RT-CORBA-flavoured variant a DRE
-    /// caller with a deadline actually needs. The late reply (if any) is
-    /// absorbed safely; the connection stays usable for a server that is
-    /// slow, not dead.
+    /// caller with a deadline actually needs. The call's pending entry
+    /// stays registered, so a late reply lands in its abandoned
+    /// Completion; the connection stays usable for a server that is slow,
+    /// not dead. At most 16 replies are awaited at once; past that the
+    /// oldest abandoned entry is dropped, and its reply with it.
     std::vector<std::uint8_t> invoke_within(const std::string& object_key,
                                             const std::string& operation,
                                             const std::uint8_t* payload,
@@ -66,7 +74,7 @@ public:
                                             int priority = rt::Priority::kDefault);
 
     /// Oneway invocation (CORBA semantics: response_expected = false).
-    /// Returns once the request is handed to the pipeline; no reply, no
+    /// Returns once the request frame is on the wire; no reply, no
     /// blocking on the server.
     void invoke_oneway(const std::string& object_key,
                        const std::string& operation,

@@ -6,7 +6,10 @@
 #include "net/reactor.hpp"
 #include "rt/thread.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <mutex>
 
 namespace compadres::orb {
 
@@ -18,16 +21,91 @@ void register_orb_message_types() {
 
 namespace {
 
-core::InPortConfig single_thread_port(std::size_t buffer = 16) {
+/// The paper's pool-size-0 mode: no dispatcher is bound, so deliver() runs
+/// the handler inline on the sending thread at the sender's priority.
+core::InPortConfig synchronous_port(std::size_t buffer = 16) {
     core::InPortConfig cfg;
     cfg.buffer_size = buffer;
     cfg.strategy = core::ThreadpoolStrategy::kDedicated;
+    cfg.min_threads = 0;
+    cfg.max_threads = 0;
+    return cfg;
+}
+
+core::InPortConfig single_thread_port(std::size_t buffer = 16) {
+    core::InPortConfig cfg = synchronous_port(buffer);
     cfg.min_threads = 1;
     cfg.max_threads = 1;
     return cfg;
 }
 
 // ---------------------------------------------------------------- client
+
+/// Replies the client still expects, keyed by GIOP request id. Whoever
+/// removes an entry completes its Completion, under the table lock, so
+/// each is completed exactly once. Invocations serialize, so at most one
+/// entry has a waiting caller; the rest belong to invoke_within timeouts
+/// whose late reply may still come. Fixed capacity: when full, the oldest
+/// entry is failed to make room.
+class PendingReplies {
+public:
+    static constexpr std::size_t kCapacity = 16;
+
+    /// Registers `completion` under `id`. False once the reply reader has
+    /// stopped: nothing will complete the entry, so it is not added.
+    bool add(std::uint32_t id, Completion* completion) {
+        std::lock_guard lk(mu_);
+        if (closed_) return false;
+        if (count_ == kCapacity) fail_locked(0);
+        entries_[count_++] = {id, completion};
+        return true;
+    }
+
+    /// Completes and removes the entry for `id`; no-op if there is none.
+    void complete(std::uint32_t id, cdr::ReplyStatus status,
+                  const std::uint8_t* data, std::size_t n) {
+        std::lock_guard lk(mu_);
+        for (std::size_t i = 0; i < count_; ++i) {
+            if (entries_[i].id != id) continue;
+            entries_[i].completion->complete(static_cast<std::uint32_t>(status),
+                                             data, n);
+            erase_locked(i);
+            return;
+        }
+    }
+
+    /// Closes the table and fails every entry with SYSTEM_EXCEPTION.
+    void fail_all() {
+        std::lock_guard lk(mu_);
+        closed_ = true;
+        while (count_ > 0) fail_locked(count_ - 1);
+    }
+
+private:
+    struct Entry {
+        std::uint32_t id = 0;
+        Completion* completion = nullptr;
+    };
+
+    void fail_locked(std::size_t i) {
+        entries_[i].completion->complete(
+            static_cast<std::uint32_t>(cdr::ReplyStatus::kSystemException),
+            nullptr, 0);
+        erase_locked(i);
+    }
+
+    void erase_locked(std::size_t i) {
+        std::copy(entries_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                  entries_.begin() + static_cast<std::ptrdiff_t>(count_),
+                  entries_.begin() + static_cast<std::ptrdiff_t>(i));
+        --count_;
+    }
+
+    std::mutex mu_;
+    std::array<Entry, kCapacity> entries_{};
+    std::size_t count_ = 0;
+    bool closed_ = false;
+};
 
 /// Level-0 (immortal) ORB component: just the Out port the API sends into.
 class ClientOrbComponent final : public core::Component {
@@ -38,23 +116,35 @@ public:
     }
 };
 
-/// Level-2 MessageProcessing: marshals, exchanges, demarshals, completes.
+/// Level-2 MessageProcessing: marshals the request, registers the caller's
+/// Completion for the reply, and sends. Runs on the invoking thread.
 class ClientMessageProcessing final : public core::Component {
 public:
     ClientMessageProcessing(const core::ComponentContext& ctx,
-                            net::Transport& wire)
-        : core::Component(ctx), wire_(&wire) {
+                            net::Transport& wire, PendingReplies& pending)
+        : core::Component(ctx), wire_(&wire), pending_(&pending) {
         add_in_port<OrbRequest>(
-            "request", "OrbRequest", single_thread_port(),
+            "request", "OrbRequest", synchronous_port(),
             [this](OrbRequest& msg, core::Smm&) { process(msg); });
     }
 
 private:
     void process(OrbRequest& msg) {
         Completion* completion = msg.completion;
+        // Register before sending so that even an immediate reply finds
+        // its entry. Oneway requests expect no reply and register nothing.
+        if (completion != nullptr && !pending_->add(msg.request_id, completion)) {
+            completion->complete(
+                static_cast<std::uint32_t>(cdr::ReplyStatus::kSystemException),
+                nullptr, 0);
+            throw net::TransportError("connection closed before request");
+        }
         try {
             if (msg.locate) {
-                process_locate(msg, *completion);
+                cdr::LocateRequestHeader header;
+                header.request_id = msg.request_id;
+                header.object_key.assign(msg.object_key.data(), msg.key_len);
+                wire_->send_frame(cdr::encode_locate_request(header));
                 return;
             }
             // Encode straight into pooled storage: headers and payload go
@@ -71,65 +161,31 @@ private:
             cdr::finish_payload(out, len_offset);
             wire_->send_frame(
                 net::FrameBufferPool::global().adopt(out.take_buffer()));
-            if (completion == nullptr) return; // oneway: fire and forget
-
-            const auto reply_frame = wire_->recv_frame();
-            if (!reply_frame.has_value()) {
-                throw net::TransportError("connection closed awaiting reply");
-            }
-            const cdr::DecodedReply reply =
-                cdr::decode_reply(reply_frame->data(), reply_frame->size());
-            if (reply.header.request_id != msg.request_id) {
-                throw OrbError("reply correlation mismatch: sent " +
-                               std::to_string(msg.request_id) + ", got " +
-                               std::to_string(reply.header.request_id));
-            }
-            completion->complete(
-                static_cast<std::uint32_t>(reply.header.status), reply.payload,
-                reply.payload_len);
         } catch (const std::exception&) {
-            // Surface transport/marshal failures as SYSTEM_EXCEPTION so the
-            // invoking thread never blocks forever.
+            // A request that never left must not leave its caller waiting.
+            // The reader may have failed the entry already (EOF).
             if (completion != nullptr) {
-                completion->complete(
-                    static_cast<std::uint32_t>(cdr::ReplyStatus::kSystemException),
-                    nullptr, 0);
+                pending_->complete(msg.request_id,
+                                   cdr::ReplyStatus::kSystemException, nullptr, 0);
             }
-            throw; // also counted by the dispatcher's error counter
+            throw; // also counted by the port's error counter
         }
-    }
-
-    void process_locate(OrbRequest& msg, Completion& completion) {
-        cdr::LocateRequestHeader header;
-        header.request_id = msg.request_id;
-        header.object_key.assign(msg.object_key.data(), msg.key_len);
-        wire_->send_frame(cdr::encode_locate_request(header));
-        const auto reply_frame = wire_->recv_frame();
-        if (!reply_frame.has_value()) {
-            throw net::TransportError("connection closed awaiting LocateReply");
-        }
-        const cdr::LocateReplyHeader reply =
-            cdr::decode_locate_reply(reply_frame->data(), reply_frame->size());
-        if (reply.request_id != msg.request_id) {
-            throw OrbError("LocateReply correlation mismatch");
-        }
-        const std::uint8_t here =
-            reply.status == cdr::LocateStatus::kObjectHere ? 1 : 0;
-        completion.complete(
-            static_cast<std::uint32_t>(cdr::ReplyStatus::kNoException), &here, 1);
     }
 
     net::Transport* wire_;
+    PendingReplies* pending_;
 };
 
-/// Level-1 Transport: owns the wire and relays ORB requests to its child.
+/// Level-1 Transport: owns the wire, relays ORB requests to its child, and
+/// runs the one reply reader, which completes the caller that each Reply
+/// or LocateReply names.
 class ClientTransportComponent final : public core::Component {
 public:
     ClientTransportComponent(const core::ComponentContext& ctx,
                              std::unique_ptr<net::Transport> wire)
         : core::Component(ctx), wire_(std::move(wire)) {
         add_in_port<OrbRequest>(
-            "fromOrb", "OrbRequest", single_thread_port(),
+            "fromOrb", "OrbRequest", synchronous_port(),
             [this](OrbRequest& msg, core::Smm&) {
                 // Relay into the child scope: copy into the pool hosted by
                 // *this* component's SMM and forward (the paper's regular,
@@ -142,12 +198,57 @@ public:
         add_out_port<OrbRequest>("toMp", "OrbRequest");
     }
 
-    net::Transport& wire() noexcept { return *wire_; }
+    ~ClientTransportComponent() override { stop_reader(); }
 
-    ~ClientTransportComponent() override { wire_->close(); }
+    net::Transport& wire() noexcept { return *wire_; }
+    PendingReplies& pending() noexcept { return pending_; }
+
+    void start_reader() {
+        reader_ = std::make_unique<rt::RtThread>(
+            "orb-replies", rt::Priority{}, [this] { reader_loop(); });
+    }
+
+    /// Closes the wire, which ends the reader's recv_frame, then joins it.
+    /// The reader fails whatever is still pending on its way out.
+    void stop_reader() {
+        wire_->close();
+        if (reader_ != nullptr) reader_->join();
+    }
 
 private:
+    void reader_loop() {
+        try {
+            while (auto frame = wire_->recv_frame()) {
+                complete_from(*frame);
+            }
+        } catch (const std::exception&) {
+            // Transport failure, or a frame that is not a valid reply: the
+            // GIOP stream cannot be trusted past it either way.
+        }
+        pending_.fail_all();
+    }
+
+    /// Completes the entry a reply frame names. A reply whose id matches
+    /// no entry (a stray, or one evicted from a full table) is dropped.
+    void complete_from(const net::FrameBuffer& frame) {
+        const cdr::GiopHeader header = cdr::decode_header(frame.data(), frame.size());
+        if (header.msg_type == cdr::GiopMsgType::kLocateReply) {
+            const cdr::LocateReplyHeader reply =
+                cdr::decode_locate_reply(frame.data(), frame.size());
+            const std::uint8_t here =
+                reply.status == cdr::LocateStatus::kObjectHere ? 1 : 0;
+            pending_.complete(reply.request_id, cdr::ReplyStatus::kNoException,
+                              &here, 1);
+            return;
+        }
+        const cdr::DecodedReply reply = cdr::decode_reply(frame.data(), frame.size());
+        pending_.complete(reply.header.request_id, reply.header.status,
+                          reply.payload, reply.payload_len);
+    }
+
     std::unique_ptr<net::Transport> wire_;
+    PendingReplies pending_;
+    std::unique_ptr<rt::RtThread> reader_;
 };
 
 } // namespace
@@ -158,9 +259,9 @@ struct ClientOrb::Impl {
     ClientMessageProcessing* mp = nullptr;
     std::atomic<std::uint32_t> next_request_id{1};
     std::mutex invoke_mu;
-    /// Completions abandoned by invoke_within timeouts, kept alive until
-    /// the pipeline writes them (a late reply or a transport error); purged
-    /// opportunistically at each invoke.
+    /// Completions abandoned by invoke_within timeouts, kept alive while
+    /// their pending entry may still be completed (a late reply, eviction
+    /// or the reader's shutdown); purged opportunistically at each invoke.
     std::vector<std::shared_ptr<Completion>> abandoned;
 
     void purge_abandoned() {
@@ -183,20 +284,21 @@ ClientOrb::ClientOrb(std::unique_ptr<net::Transport> wire)
     impl_->transport = &app_->create_scoped<ClientTransportComponent>(
         "Transport", *impl_->orb, 1, std::move(wire));
     impl_->mp = &app_->create_scoped<ClientMessageProcessing>(
-        "MessageProcessing", *impl_->transport, 2, impl_->transport->wire());
+        "MessageProcessing", *impl_->transport, 2, impl_->transport->wire(),
+        impl_->transport->pending());
 
     // Orb -> Transport (internal: parent to child), Transport -> MP.
     app_->connect(*impl_->orb, "toTransport", *impl_->transport, "fromOrb");
     app_->connect(*impl_->transport, "toMp", *impl_->mp, "request");
     app_->start();
+    impl_->transport->start_reader();
 }
 
 ClientOrb::~ClientOrb() {
-    // Close the wire first: a MessageProcessing worker blocked in
-    // recv_frame (e.g. a request the server never answered) must unblock
-    // before Application::shutdown joins the dispatcher threads.
+    // Close the wire and join the reply reader before the components go:
+    // the reader completes entries of the Transport's pending table.
     if (impl_ != nullptr && impl_->transport != nullptr) {
-        impl_->transport->wire().close();
+        impl_->transport->stop_reader();
     }
     if (app_ != nullptr) app_->shutdown();
 }
@@ -261,8 +363,8 @@ std::vector<std::uint8_t> ClientOrb::invoke_within(
     msg->completion = completion.get();
     out.send(msg, priority);
     if (!completion->wait_for(deadline)) {
-        // Keep the completion alive for the pipeline's eventual write; the
-        // late reply (or transport error) lands harmlessly in it.
+        // Its pending entry stays registered: keep the completion alive for
+        // the late reply, eviction or reader shutdown that completes it.
         impl_->abandoned.push_back(completion);
         throw OrbTimeout("invocation '" + operation + "' on '" + object_key +
                          "' missed its " + std::to_string(deadline.count()) +
@@ -416,7 +518,10 @@ private:
     std::vector<std::unique_ptr<rt::RtThread>> readers_;
 };
 
-/// Level-2 Transport: relays frames into the request-processing scope.
+/// Level-2 Transport: relays frames into the request-processing scope. Its
+/// one pooled worker is the server's only pipeline thread: it takes each
+/// frame off the POA (so servants never run on the shared reactor loop)
+/// and runs RequestProcessing inline.
 class ServerTransportComponent final : public core::Component {
 public:
     explicit ServerTransportComponent(const core::ComponentContext& ctx)
@@ -433,14 +538,15 @@ public:
     }
 };
 
-/// Level-3 RequestProcessing: demarshal, dispatch, reply.
+/// Level-3 RequestProcessing: demarshal, dispatch, reply. Synchronous
+/// port: runs on the ServerTransport worker that relayed the frame.
 class RequestProcessingComponent final : public core::Component {
 public:
     RequestProcessingComponent(const core::ComponentContext& ctx,
                                ServantRegistry& servants)
         : core::Component(ctx), servants_(&servants) {
         add_in_port<GiopFrame>(
-            "request", "GiopFrame", single_thread_port(),
+            "request", "GiopFrame", synchronous_port(),
             [this](GiopFrame& msg, core::Smm&) { process(msg); });
     }
 

@@ -9,6 +9,11 @@
 //   level 3 (scoped):   RequestProcessing component — demarshal, dispatch
 //                       to the servant, marshal and send the reply
 //
+// Threads: POA -> Transport is the one pooled hop (a single worker), so
+// servants never run on the shared reactor loop. Transport ->
+// RequestProcessing is synchronous (pool size 0): the Transport worker
+// runs the servant and sends the reply.
+//
 // The paper creates Transport/RequestProcessing scopes on demand and
 // reclaims them per connection/request; this implementation places them in
 // pooled scoped regions reused across requests — the scope-pool

@@ -10,11 +10,13 @@ namespace compadres::rt {
 
 namespace {
 std::atomic<std::int64_t> g_rt_denied{0};
+std::atomic<std::int64_t> g_priority_sets{0};
 } // namespace
 
 bool try_set_current_thread_priority(Priority p) noexcept {
     sched_param sp{};
     sp.sched_priority = Priority::clamped(p.value).value;
+    g_priority_sets.fetch_add(1, std::memory_order_relaxed);
     const int rc = pthread_setschedparam(pthread_self(), SCHED_FIFO, &sp);
     if (rc != 0) {
         g_rt_denied.fetch_add(1, std::memory_order_relaxed);
@@ -48,6 +50,10 @@ void RtThread::join() {
 
 std::int64_t rt_denied_count() noexcept {
     return g_rt_denied.load(std::memory_order_relaxed);
+}
+
+std::int64_t rt_priority_set_count() noexcept {
+    return g_priority_sets.load(std::memory_order_relaxed);
 }
 
 } // namespace compadres::rt

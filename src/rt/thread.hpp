@@ -80,4 +80,8 @@ private:
 /// run used real SCHED_FIFO or the degraded mode.
 std::int64_t rt_denied_count() noexcept;
 
+/// Process-wide count of try_set_current_thread_priority calls, each one
+/// pthread_setschedparam syscall whether granted or denied.
+std::int64_t rt_priority_set_count() noexcept;
+
 } // namespace compadres::rt

@@ -1,5 +1,6 @@
 // Dispatcher: pool growth, shared pools, shutdown draining.
 #include "core/application.hpp"
+#include "rt/thread.hpp"
 
 #include "helpers.hpp"
 
@@ -161,8 +162,8 @@ TEST_F(DispatcherTest, SubmitAfterShutdownThrows) {
 
 TEST_F(DispatcherTest, WorkerThreadsInheritMessagePriorityBestEffort) {
     // We cannot assert SCHED_FIFO was granted in a container, but the
-    // dispatch path must at least *attempt* it per message and the counter
-    // of denied requests must stay consistent (no crash, no hang).
+    // dispatch path must at least *attempt* it per priority change and the
+    // counter of denied requests must stay consistent (no crash, no hang).
     core::Application app("t");
     auto& a = app.create_immortal<core::Component>("A");
     auto& b = app.create_immortal<core::Component>("B");
@@ -173,6 +174,29 @@ TEST_F(DispatcherTest, WorkerThreadsInheritMessagePriorityBestEffort) {
     app.connect(a, "out", b, "in");
     for (const int prio : {1, 50, 99}) out.send(out.get_message(), prio);
     ASSERT_TRUE(done.wait_for(3));
+    app.shutdown();
+}
+
+TEST_F(DispatcherTest, SamePriorityMessagesSetWorkerPriorityAtMostOnce) {
+    // The worker asks for a priority only when the next message's differs
+    // from the last one it asked for: a run of equal priorities costs at
+    // most one pthread_setschedparam, granted or not.
+    core::Application app("t");
+    auto& a = app.create_immortal<core::Component>("A");
+    auto& b = app.create_immortal<core::Component>("B");
+    auto& out = a.add_out_port<TestMsg>("out", "TestMsg");
+    test::Waiter done;
+    b.add_in_port<TestMsg>("in", "TestMsg", cfg(8, 1, 1),
+                           [&](TestMsg&, core::Smm&) { done.notify(); });
+    app.connect(a, "out", b, "in");
+    // Once the first message ran, the worker has applied its base priority.
+    out.send(out.get_message(), rt::Priority::kDefault);
+    ASSERT_TRUE(done.wait_for(1));
+    const std::int64_t before = rt::rt_priority_set_count();
+    constexpr int kMessages = 100;
+    for (int i = 0; i < kMessages; ++i) out.send(out.get_message(), 50);
+    ASSERT_TRUE(done.wait_for(1 + kMessages));
+    EXPECT_LE(rt::rt_priority_set_count() - before, 1);
     app.shutdown();
 }
 

@@ -240,6 +240,12 @@ TEST(ShmSegment, RejectsDoubleAttach) {
         EXPECT_NE(std::string(e.what()).find("already attached"),
                   std::string::npos);
     }
+    // The rejected attach held no side: the live attacher's flag survives
+    // and the segment name is still there to open.
+    EXPECT_EQ(seg->header().attached[1].load(), 1u);
+    const int fd = shm_open(seg->name().c_str(), O_RDWR, 0);
+    EXPECT_GE(fd, 0);
+    if (fd >= 0) ::close(fd);
 }
 
 namespace {

@@ -3,6 +3,8 @@
 #include "orb/client_orb.hpp"
 #include "orb/server_orb.hpp"
 
+#include "cdr/giop.hpp"
+#include "net/reactor.hpp"
 #include "net/tcp.hpp"
 
 #include <gtest/gtest.h>
@@ -35,6 +37,22 @@ struct LoopbackPair {
         client = std::make_unique<orb::ClientOrb>(std::move(client_wire));
     }
 };
+
+/// Reads one request frame off a hand-driven server wire; returns its id.
+std::uint32_t read_request_id(net::Transport& server_wire) {
+    const auto frame = server_wire.recv_frame();
+    if (!frame.has_value()) throw std::runtime_error("request wire closed");
+    return cdr::decode_request(frame->data(), frame->size()).header.request_id;
+}
+
+/// Sends a NO_EXCEPTION Reply for `id` carrying `payload`.
+void send_reply(net::Transport& server_wire, std::uint32_t id,
+                std::vector<std::uint8_t> payload) {
+    cdr::ReplyHeader header;
+    header.request_id = id;
+    server_wire.send_frame(
+        cdr::encode_reply(header, payload.data(), payload.size()));
+}
 
 } // namespace
 
@@ -282,4 +300,108 @@ TEST(CompadresOrb, PingReportsObjectPresence) {
     // Invocations still work after probes (correlation intact).
     const std::uint8_t payload[] = {4};
     EXPECT_EQ(pair.client->invoke("Echo", "echo", payload, 1).at(0), 4);
+}
+
+TEST(CompadresOrb, StrayReplyDoesNotCompleteTheWrongCall) {
+    // The peer first answers a request id nobody sent; the reader drops
+    // that reply and the caller gets the one carrying its own id.
+    auto [client_wire, server_wire] = net::make_loopback_pair();
+    orb::ClientOrb client(std::move(client_wire));
+    std::thread peer([&wire = *server_wire] {
+        const std::uint32_t id = read_request_id(wire);
+        send_reply(wire, id + 1000, {0xEE});
+        send_reply(wire, id, {0x11});
+    });
+    const std::uint8_t payload[] = {0x11};
+    std::vector<std::uint8_t> reply;
+    EXPECT_NO_THROW(reply = client.invoke("Echo", "echo", payload, 1));
+    peer.join();
+    EXPECT_EQ(reply, std::vector<std::uint8_t>({0x11}));
+    // The connection stays usable: the next call is correlated too.
+    std::thread peer2([&wire = *server_wire] {
+        send_reply(wire, read_request_id(wire), {0x22});
+    });
+    EXPECT_NO_THROW(reply = client.invoke("Echo", "echo", payload, 1));
+    peer2.join();
+    EXPECT_EQ(reply, std::vector<std::uint8_t>({0x22}));
+}
+
+TEST(CompadresOrb, PeerCloseFailsInvokeWithoutDeadline) {
+    // The peer reads the request and hangs up: invoke() with no deadline
+    // must surface the closed connection instead of waiting forever, and
+    // later calls fail at once.
+    auto [client_wire, server_wire] = net::make_loopback_pair();
+    orb::ClientOrb client(std::move(client_wire));
+    std::thread peer([&wire = *server_wire] {
+        read_request_id(wire);
+        wire.close();
+    });
+    const std::uint8_t payload[] = {1};
+    EXPECT_THROW(client.invoke("Echo", "echo", payload, 1), orb::OrbError);
+    peer.join();
+    EXPECT_THROW(client.invoke("Echo", "echo", payload, 1), orb::OrbError);
+    EXPECT_THROW(client.ping("Echo"), orb::OrbError);
+}
+
+TEST(CompadresOrb, LateRepliesBeyondPendingCapacityAreDropped) {
+    // More timed-out calls than the pending table holds: the oldest
+    // entries are evicted, every late reply (evicted or not) is absorbed,
+    // and a normal call afterwards still gets its own reply.
+    auto [client_wire, server_wire] = net::make_loopback_pair();
+    orb::ClientOrb client(std::move(client_wire));
+    constexpr int kTimeouts = 40;
+    const std::uint8_t payload[] = {3};
+    for (int i = 0; i < kTimeouts; ++i) {
+        EXPECT_THROW(client.invoke_within("Echo", "echo", payload, 1,
+                                          std::chrono::milliseconds(1)),
+                     orb::OrbTimeout);
+    }
+    std::thread peer([&wire = *server_wire] {
+        std::vector<std::uint32_t> ids;
+        for (int i = 0; i < kTimeouts; ++i) ids.push_back(read_request_id(wire));
+        for (const std::uint32_t id : ids) send_reply(wire, id, {0xEE});
+        send_reply(wire, read_request_id(wire), {0x33});
+    });
+    std::vector<std::uint8_t> reply;
+    EXPECT_NO_THROW(reply = client.invoke("Echo", "echo", payload, 1));
+    peer.join();
+    EXPECT_EQ(reply, std::vector<std::uint8_t>({0x33}));
+}
+
+TEST(CompadresOrb, RequestPathPortsRunOnTheCallersThread) {
+    // Client Transport.fromOrb, MessageProcessing.request and server
+    // RequestProcessing.request are synchronous (pool size 0); the
+    // POA -> ServerTransport hop keeps its worker so servants never run
+    // on the reactor loop.
+    LoopbackPair pair;
+    auto& capp = pair.client->application();
+    auto& sapp = pair.server.application();
+    EXPECT_EQ(capp.component("Transport").find_in_port("fromOrb")->dispatcher(),
+              nullptr);
+    EXPECT_EQ(
+        capp.component("MessageProcessing").find_in_port("request")->dispatcher(),
+        nullptr);
+    EXPECT_EQ(
+        sapp.component("RequestProcessing").find_in_port("request")->dispatcher(),
+        nullptr);
+    EXPECT_NE(
+        sapp.component("ServerTransport").find_in_port("fromPoa")->dispatcher(),
+        nullptr);
+}
+
+TEST(CompadresOrb, ClientWireIsNotRegisteredWithTheReactor) {
+    // The client's reply reader owns the wire's receive side; registering
+    // the wire with the reactor would move replies off recv_frame.
+    net::TcpAcceptor acceptor(0);
+    std::unique_ptr<net::Transport> server_side;
+    std::thread accept_thread([&] { server_side = acceptor.accept(); });
+    auto wire = net::tcp_connect("127.0.0.1", acceptor.bound_port());
+    accept_thread.join();
+    ASSERT_NE(server_side, nullptr);
+    const std::uint64_t before = net::Reactor::shared().stats().wires_registered;
+    {
+        orb::ClientOrb client(std::move(wire));
+        EXPECT_EQ(net::Reactor::shared().stats().wires_registered, before);
+    }
+    EXPECT_EQ(net::Reactor::shared().stats().wires_registered, before);
 }
