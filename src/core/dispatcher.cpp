@@ -122,17 +122,15 @@ bool Dispatcher::execute(const Envelope& env) noexcept {
         obs::FlightRecorder::emit_always(obs::EventType::kHopHandlerStart,
                                          env.trace_id, env.span_id);
     }
+    // A throwing handler is counted (the port's errors, this dispatcher's
+    // errors), not logged: this runs on the message path, often on the
+    // sender's own thread, where a stderr write per failure would cost
+    // more than the message.
     bool ok = true;
     try {
         env.port->handler().process_raw(env.msg, *env.smm);
-    } catch (const std::exception& e) {
-        ok = false;
-        std::fprintf(stderr, "[compadres] handler error on port %s: %s\n",
-                     env.port->qualified_name().c_str(), e.what());
     } catch (...) {
         ok = false;
-        std::fprintf(stderr, "[compadres] handler error on port %s: unknown\n",
-                     env.port->qualified_name().c_str());
     }
     const std::int64_t end = traced ? rt::now_ns() : 0;
     // The message returns to its pool after processing (paper §2.2) even if

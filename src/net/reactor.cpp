@@ -1,6 +1,7 @@
 #include "net/reactor.hpp"
 
 #include "cdr/giop.hpp"
+#include "net/tcp.hpp"
 #include "rt/thread.hpp"
 
 #include <sched.h>
@@ -39,7 +40,7 @@ std::size_t resolve_threads(std::size_t requested) {
 /// Owned by exactly one loop; touched only on that loop's thread.
 struct Wire {
     std::uint64_t id = 0;
-    ReactorHook* hook = nullptr;
+    TcpTransport* tcp = nullptr; ///< must outlive its registration
     Reactor::FrameHandler on_frame;
     Reactor::ClosedHandler on_closed;
 
@@ -238,7 +239,7 @@ private:
     /// Account and hand off a completed frame; kClosed if the handler
     /// throws.
     PumpResult deliver_frame(Wire& w) {
-        w.hook->note_frame_received();
+        w.tcp->note_frame_received();
         frames_assembled_.fetch_add(1, std::memory_order_relaxed);
         FrameBuffer complete = std::move(w.frame);
         w.frame_total = 0;
@@ -278,12 +279,12 @@ private:
                 } catch (...) {
                     return PumpResult::kClosed; // corrupt header
                 }
-                if (total > w.hook->max_frame_bytes()) {
+                if (total > w.tcp->max_frame_bytes()) {
                     return PumpResult::kClosed;
                 }
                 // Draw from the wire's own pool (per-lane for lane
                 // groups) so bands never share a pool ring.
-                w.frame = w.hook->frame_pool().acquire(total);
+                w.frame = w.tcp->frame_pool().acquire(total);
                 std::memcpy(w.frame.data(), w.header, cdr::GiopHeader::kSize);
                 w.frame_total = total;
                 w.frame_got = cdr::GiopHeader::kSize;
@@ -320,7 +321,7 @@ private:
     /// short-read exit: a FIN queued behind the data produces no further
     /// edge, so this pump must read through to the EOF itself.
     PumpResult pump_reads(Wire& w, bool peer_closed) {
-        const int fd = w.hook->descriptor();
+        const int fd = w.tcp->descriptor();
         for (;;) {
             const bool direct =
                 w.frame_total != 0 &&
@@ -436,7 +437,7 @@ private:
                     // transport re-requests, and EPOLL_CTL_MOD re-edges a
                     // still-writable socket, so the wakeup cannot be lost.
                     mod_interest(*w, kReadInterest);
-                    w->hook->flush_pending_writes();
+                    w->tcp->flush_pending_writes();
                 }
                 if (ev.events &
                     (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) {
@@ -445,9 +446,9 @@ private:
                     // Cork the writer for the pump's duration: replies the
                     // frame callbacks send coalesce into one flush at
                     // uncork instead of a sendmsg per frame.
-                    w->hook->set_corked(true);
+                    w->tcp->set_corked(true);
                     const PumpResult pr = pump_reads(*w, peer_closed);
-                    w->hook->set_corked(false);
+                    w->tcp->set_corked(false);
                     if (pr == PumpResult::kClosed) close_wire(*w);
                 }
             }
@@ -468,11 +469,11 @@ private:
     void do_add(std::unique_ptr<Wire> wire) {
         Wire& w = *wire;
         auto [it, inserted] = wires_.emplace(w.id, std::move(wire));
-        w.scratch.resize(std::min(kScratchBytes, w.hook->max_frame_bytes()));
+        w.scratch.resize(std::min(kScratchBytes, w.tcp->max_frame_bytes()));
         epoll_event ev{};
         ev.events = kReadInterest;
         ev.data.u64 = w.id;
-        if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, w.hook->descriptor(), &ev) !=
+        if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, w.tcp->descriptor(), &ev) !=
             0) {
             // Unusable descriptor: surface as an immediate close.
             wire_add_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -488,7 +489,7 @@ private:
         // that arm silently no-op'd. Re-flush now that the wire is
         // registered: a batch still parked re-requests from its own
         // EAGAIN, and this time do_arm (inline, same thread) sticks.
-        w.hook->flush_pending_writes();
+        w.tcp->flush_pending_writes();
     }
 
     /// Deliberate removal (deregister/stop): flush the coalescing intake
@@ -505,8 +506,8 @@ private:
     }
 
     void detach(Wire& w) {
-        w.hook->flush_pending_writes(); // best effort; drops if peer is gone
-        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, w.hook->descriptor(), nullptr);
+        w.tcp->flush_pending_writes(); // best effort; drops if peer is gone
+        ::epoll_ctl(epfd_, EPOLL_CTL_DEL, w.tcp->descriptor(), nullptr);
     }
 
     /// Deliver exactly one EPOLLOUT once the descriptor accepts bytes
@@ -522,7 +523,7 @@ private:
         epoll_event ev{};
         ev.events = events;
         ev.data.u64 = w.id;
-        ::epoll_ctl(epfd_, EPOLL_CTL_MOD, w.hook->descriptor(), &ev);
+        ::epoll_ctl(epfd_, EPOLL_CTL_MOD, w.tcp->descriptor(), &ev);
     }
 
     static thread_local Loop* t_current_loop;
@@ -615,8 +616,8 @@ Reactor::~Reactor() { stop(); }
 std::uint64_t Reactor::register_wire(Transport& transport,
                                      FrameHandler on_frame,
                                      ClosedHandler on_closed, int band) {
-    ReactorHook* hook = transport.reactor_hook();
-    if (hook == nullptr) {
+    TcpTransport* tcp = transport.reactor_hook();
+    if (tcp == nullptr) {
         throw TransportError(
             "transport is not reactor-capable (no pollable descriptor)");
     }
@@ -635,12 +636,12 @@ std::uint64_t Reactor::register_wire(Transport& transport,
     state_->wires_registered.fetch_add(1, std::memory_order_relaxed);
     auto wire = std::make_unique<Wire>();
     wire->id = id;
-    wire->hook = hook;
+    wire->tcp = tcp;
     wire->on_frame = std::move(on_frame);
     wire->on_closed = std::move(on_closed);
     // Non-blocking mode must be on before the descriptor joins the loop,
     // so the first read pump cannot block.
-    hook->enter_reactor_mode([loop, id] { loop->arm_write(id); });
+    tcp->enter_reactor_mode([loop, id] { loop->arm_write(id); });
     loop->add_wire(std::move(wire));
     return id;
 }

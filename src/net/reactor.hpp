@@ -8,15 +8,17 @@
 // override with COMPADRES_REACTOR_THREADS or ReactorOptions::threads)
 // owns every registered descriptor and drives both readiness directions.
 //
-// Each loop is one epoll instance. Reads are edge-triggered and pump
-// until the socket drains, assembling GIOP frames incrementally into
-// pooled FrameBuffers; the transport's coalescing writer parks its batch
-// on EAGAIN and the loop arms EPOLLOUT to resume it. on_frame runs on the
-// loop thread, and replies a pump produces coalesce into one flush when
-// the pump uncorks the writer. Cross-thread operations post commands
-// through an eventfd, and deregistration flushes-or-drops
-// deterministically. Wires are assigned round-robin or pinned by
-// priority band (band % thread_count).
+// Each loop is one epoll instance. The wires are TCP connections
+// (TcpTransport, net/tcp.hpp — the only transport with a pollable
+// descriptor), driven through their concrete methods rather than an
+// interface. Reads are edge-triggered and pump until the socket drains,
+// assembling GIOP frames incrementally into pooled FrameBuffers; the
+// wire's coalescing writer parks its batch on EAGAIN and the loop arms
+// EPOLLOUT to resume it. on_frame runs on the loop thread, and replies a
+// pump produces coalesce into one flush when the pump uncorks the writer.
+// Cross-thread operations post commands through an eventfd, and
+// deregistration flushes-or-drops deterministically. Wires are assigned
+// round-robin or pinned by priority band (band % thread_count).
 #pragma once
 
 #include "net/transport.hpp"
@@ -81,12 +83,13 @@ public:
     /// Runs once, on the loop thread, after the descriptor left epoll.
     using ClosedHandler = std::function<void()>;
 
-    /// Hand a transport's descriptor to the pool. The transport must
-    /// expose a ReactorHook (Transport::reactor_hook() != nullptr) and is
-    /// switched to non-blocking reactor mode here; recv_frame() on it
-    /// becomes invalid. `band` < 0 assigns round-robin; `band` >= 0 pins
-    /// to loop (band % thread_count) so callers can keep priority classes
-    /// on separate threads. Returns a wire id for deregister/poke.
+    /// Hand a transport's descriptor to the pool. The transport must be
+    /// a TCP wire (Transport::reactor_hook() != nullptr; anything else
+    /// throws TransportError) and is switched to non-blocking reactor
+    /// mode here; recv_frame() on it becomes invalid. `band` < 0 assigns
+    /// round-robin; `band` >= 0 pins to loop (band % thread_count) so
+    /// callers can keep priority classes on separate threads. Returns a
+    /// wire id for deregister/poke.
     std::uint64_t register_wire(Transport& transport, FrameHandler on_frame,
                                 ClosedHandler on_closed = {}, int band = -1);
 
@@ -113,10 +116,11 @@ public:
     void poke_writable(std::uint64_t wire_id);
 
     /// Process-wide reactor for components that multiplex by default
-    /// (RemoteBridge and ServerOrb use it whenever their wire exposes a
-    /// ReactorHook). Constructed on first use, intentionally never
-    /// destroyed: wires are torn down by their owners, and leaking the
-    /// loops sidesteps static-destruction-order races.
+    /// (RemoteBridge and ServerOrb use it whenever their wire is TCP,
+    /// i.e. Transport::reactor_hook() is non-null). Constructed on first
+    /// use, intentionally never destroyed: wires are torn down by their
+    /// owners, and leaking the loops sidesteps static-destruction-order
+    /// races.
     static Reactor& shared();
 
 private:

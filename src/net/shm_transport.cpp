@@ -112,6 +112,20 @@ void sweep_once_at_startup() {
 
 constexpr const char* kControlKey = "compadres.shm";
 
+/// The creator's segment-name buffer, NUL included: no segment this code
+/// creates has a name of kNameBufBytes or more.
+constexpr std::size_t kNameBufBytes = 96;
+
+/// A hello may only name a segment ShmSegment::create could have made.
+/// The peer picks the name, and an unchecked one would have the acceptor
+/// open and map any shm object it can read.
+bool creatable_segment_name(const std::string& name) {
+    const std::size_t prefix_len = std::strlen(shm_detail::kNamePrefix);
+    return name.size() > prefix_len && name.size() < kNameBufBytes &&
+           name.compare(0, prefix_len, shm_detail::kNamePrefix) == 0 &&
+           name.find('/', 1) == std::string::npos;
+}
+
 } // namespace
 
 // ---- ShmSegment -----------------------------------------------------------
@@ -124,7 +138,7 @@ std::shared_ptr<ShmSegment> ShmSegment::create(const ShmOptions& options) {
     auto seg = std::shared_ptr<ShmSegment>(new ShmSegment());
     int fd = -1;
     for (int attempt = 0; attempt < 4 && fd < 0; ++attempt) {
-        char buf[96];
+        char buf[kNameBufBytes];
         std::snprintf(buf, sizeof buf, "%s%u.%u.%llx", shm_detail::kNamePrefix,
                       static_cast<unsigned>(getpid()),
                       seq.fetch_add(1, std::memory_order_relaxed),
@@ -279,6 +293,25 @@ void ShmSegment::unlink() noexcept {
 
 // ---- ShmSession -----------------------------------------------------------
 
+namespace {
+
+/// Result of one bounded receive attempt on the session. Exactly one of:
+/// frame set; closed true; neither (idle — the ring waited its bounded
+/// interval without data, so ShmTransport::recv_frame runs idle_poll
+/// before retrying).
+struct RingRecv {
+    std::optional<FrameBuffer> frame;
+    bool closed = false;
+
+    static RingRecv ended() {
+        RingRecv r;
+        r.closed = true;
+        return r;
+    }
+};
+
+} // namespace
+
 /// The engine behind ShmTransport: per-band SPSC ring producer/consumer
 /// over the segment, plus the TCP control/fallback channel and the
 /// failover state machine.
@@ -336,7 +369,7 @@ public:
 
     ~ShmSession() { close_all(); }
 
-    // -- ring-pair surface --------------------------------------------------
+    // -- ring surface -------------------------------------------------------
 
     /// Push one frame into the ring its band selects. False (frame
     /// untouched) when the shm path cannot take it — oversize (triggers
@@ -424,30 +457,12 @@ public:
         return try_pop();
     }
 
-    std::size_t tx_depth() const {
-        std::size_t total = 0;
-        for (std::size_t b = 0; b < bands_; ++b) {
-            const SegDir& d = seg_->dir(side_, b);
-            total += d.head.load(std::memory_order_relaxed) -
-                     d.tail.load(std::memory_order_relaxed);
-        }
-        return total;
-    }
-    std::size_t rx_depth() const {
-        std::size_t total = 0;
-        for (std::size_t b = 0; b < bands_; ++b) {
-            const SegDir& d = seg_->dir(1 - side_, b);
-            total += d.head.load(std::memory_order_relaxed) -
-                     d.tail.load(std::memory_order_relaxed);
-        }
-        return total;
-    }
     std::size_t bands() const noexcept { return bands_; }
 
-    // -- transport hooks ----------------------------------------------------
+    // -- TCP fallback and control -----------------------------------------
 
-    /// on_send_down: the ring refused the frame; carry it over TCP (after
-    /// finishing any failover handshake that refusal was part of).
+    /// The ring refused the frame; carry it over TCP (after finishing any
+    /// failover handshake that refusal was part of).
     void fallback_send(FrameBuffer frame) {
         std::lock_guard lk(send_mu_);
         if (bye_pending_.load(std::memory_order_acquire)) {
@@ -461,9 +476,9 @@ public:
         tcp_sent_.fetch_add(1, std::memory_order_relaxed);
     }
 
-    /// on_recv_idle: the ring waited one cycle with no data. Poll the TCP
-    /// channel for control/fallback traffic, and periodically check that
-    /// the peer process still exists.
+    /// The ring waited one cycle with no data. Poll the TCP channel for
+    /// control/fallback traffic, and periodically check that the peer
+    /// process still exists.
     RingRecv idle_poll() {
         if (closed_.load(std::memory_order_acquire)) {
             return RingRecv::ended();
@@ -478,8 +493,8 @@ public:
         return RingRecv{};
     }
 
-    /// on_ring_closed: the segment is drained and done (graceful close,
-    /// failover, or peer death); keep receiving from the TCP wire.
+    /// The segment is drained and done (graceful close, failover, or peer
+    /// death); keep receiving from the TCP wire.
     RingRecv tcp_recv_blocking() {
         if (!tcp_up_.load(std::memory_order_relaxed) ||
             closed_.load(std::memory_order_relaxed)) {
@@ -1234,46 +1249,62 @@ private:
     std::atomic<std::uint64_t> replay_skipped_{0};
 };
 
-// ---- ShmRingPair ----------------------------------------------------------
-
-bool ShmRingPair::send(FrameBuffer& frame) { return session->ring_send(frame); }
-RingRecv ShmRingPair::recv() { return session->ring_recv(); }
-void ShmRingPair::close() { session->close_all(); }
-std::size_t ShmRingPair::tx_depth() const { return session->tx_depth(); }
-std::size_t ShmRingPair::rx_depth() const { return session->rx_depth(); }
-
 // ---- ShmTransport ---------------------------------------------------------
 
 ShmTransport::ShmTransport(std::shared_ptr<ShmSession> session,
                            std::string label)
-    : RingPairTransport(ShmRingPair{std::move(session)}, std::move(label)) {}
+    : session_(std::move(session)), label_(std::move(label)) {}
 
 ShmTransport::~ShmTransport() { close(); }
 
-ShmCounters ShmTransport::counters() const { return rings_.session->counters(); }
-bool ShmTransport::shm_active() const { return rings_.session->shm_active(); }
-std::size_t ShmTransport::bands() const { return rings_.session->bands(); }
-const std::string& ShmTransport::segment_name() const {
-    return rings_.session->segment_name();
-}
-std::uint64_t ShmTransport::generation() const {
-    return rings_.session->generation();
-}
-void ShmTransport::abandon_shm(const char* reason) {
-    rings_.session->abandon(reason);
-}
-FrameBufferPool& ShmTransport::frame_pool() noexcept {
-    return rings_.session->pool();
-}
-void ShmTransport::on_send_down(FrameBuffer&& frame) {
-    rings_.session->fallback_send(std::move(frame));
+void ShmTransport::send_frame(FrameBuffer frame) {
+    // ring_send leaves the frame intact when it refuses it, so the TCP
+    // fallback carries the same bytes.
+    if (!session_->ring_send(frame)) session_->fallback_send(std::move(frame));
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
 }
-RingRecv ShmTransport::on_ring_closed() {
-    return rings_.session->tcp_recv_blocking();
+
+std::optional<FrameBuffer> ShmTransport::recv_frame() {
+    for (;;) {
+        RingRecv r = session_->ring_recv();
+        if (!r.frame.has_value()) {
+            // Down-and-drained keeps serving frames from the TCP wire;
+            // idle polls the control channel and peer liveness.
+            r = r.closed ? session_->tcp_recv_blocking()
+                         : session_->idle_poll();
+        }
+        if (r.frame.has_value()) {
+            frames_received_.fetch_add(1, std::memory_order_relaxed);
+            return std::move(r.frame);
+        }
+        if (r.closed) return std::nullopt;
+    }
 }
-RingRecv ShmTransport::on_recv_idle() { return rings_.session->idle_poll(); }
-void ShmTransport::on_close() {}
+
+void ShmTransport::close() { session_->close_all(); }
+
+TransportStats ShmTransport::stats() const {
+    TransportStats s;
+    s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
+    s.frames_received = frames_received_.load(std::memory_order_relaxed);
+    return s;
+}
+
+FrameBufferPool& ShmTransport::frame_pool() noexcept {
+    return session_->pool();
+}
+ShmCounters ShmTransport::counters() const { return session_->counters(); }
+bool ShmTransport::shm_active() const { return session_->shm_active(); }
+std::size_t ShmTransport::bands() const { return session_->bands(); }
+const std::string& ShmTransport::segment_name() const {
+    return session_->segment_name();
+}
+std::uint64_t ShmTransport::generation() const {
+    return session_->generation();
+}
+void ShmTransport::abandon_shm(const char* reason) {
+    session_->abandon(reason);
+}
 
 // ---- handshake ------------------------------------------------------------
 
@@ -1451,6 +1482,10 @@ ShmConnectResult ShmAcceptor::accept() {
     std::shared_ptr<ShmSegment> seg;
     if (seg_name.empty()) {
         nack = "client could not create a segment";
+    } else if (!creatable_segment_name(seg_name)) {
+        nack = std::string("hello names a segment outside ") +
+               shm_detail::kNamePrefix + "*: " +
+               seg_name.substr(0, kNameBufBytes);
     } else if (version != shm_detail::kVersion) {
         nack = "version mismatch: hello v" + std::to_string(version) +
                ", expected v" + std::to_string(shm_detail::kVersion);

@@ -56,11 +56,12 @@
 // below so tests (and DESIGN.md §13) can reason about them directly.
 #pragma once
 
-#include "net/ring_transport.hpp"
 #include "net/tcp.hpp"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace compadres::net {
@@ -299,25 +300,23 @@ struct ShmCounters {
 
 class ShmSession;
 
-/// RingPair policy backed by a ShmSession (all logic lives in the .cpp).
-/// send() leaves the frame intact when it returns false, so the
-/// transport's on_send_down hook can reroute it over TCP.
-struct ShmRingPair {
-    std::shared_ptr<ShmSession> session;
-    bool send(FrameBuffer& frame);
-    RingRecv recv();
-    void close();
-    std::size_t tx_depth() const;
-    std::size_t rx_depth() const;
-};
-
 /// The shared-memory transport. Not constructed directly — use
 /// shm_upgrade_connect / ShmAcceptor, which run the handshake and fall
-/// back to plain TCP when the segment cannot be shared.
-class ShmTransport final : public RingPairTransport<ShmRingPair> {
+/// back to plain TCP when the segment cannot be shared. A frame the ring
+/// refuses (oversize, failover, peer gone) rides the session's TCP wire;
+/// stats() counts frames over both paths.
+class ShmTransport final : public Transport {
 public:
     ShmTransport(std::shared_ptr<ShmSession> session, std::string label);
     ~ShmTransport() override;
+
+    using Transport::send_frame; // keep the copying vector shim visible
+    void send_frame(FrameBuffer frame) override;
+    std::optional<FrameBuffer> recv_frame() override;
+    void close() override;
+    std::string peer_description() const override { return label_; }
+    TransportStats stats() const override;
+    FrameBufferPool& frame_pool() noexcept override;
 
     ShmCounters counters() const;
     bool shm_active() const;
@@ -330,13 +329,11 @@ public:
     /// failover deterministically. Safe to call at any time; idempotent.
     void abandon_shm(const char* reason = "forced");
 
-    FrameBufferPool& frame_pool() noexcept override;
-
 private:
-    void on_send_down(FrameBuffer&& frame) override;
-    RingRecv on_ring_closed() override;
-    RingRecv on_recv_idle() override;
-    void on_close() override;
+    std::shared_ptr<ShmSession> session_;
+    std::string label_;
+    std::atomic<std::uint64_t> frames_sent_{0};
+    std::atomic<std::uint64_t> frames_received_{0};
 };
 
 /// Outcome of a connect/accept that tried the shm upgrade. `transport`

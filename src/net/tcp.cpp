@@ -75,161 +75,45 @@ bool read_exact(int fd, std::uint8_t* dst, std::size_t n) {
     return true;
 }
 
-class TcpTransport final : public Transport, public ReactorHook {
-public:
-    TcpTransport(int fd, std::string peer, TcpOptions options)
-        : fd_(fd), peer_(std::move(peer)), opts_(options),
-          pool_(opts_.pool ? opts_.pool : &FrameBufferPool::global()),
-          intake_(opts_.intake_capacity ? opts_.intake_capacity : 1) {
-        set_nodelay(fd_);
-        set_buffer_bounds(fd_, opts_);
-        // Writer-only scratch, sized once: drains never touch the heap.
-        batch_.reserve(kMaxBatchFrames);
-        iov_.reserve(kMaxBatchFrames);
-    }
+} // namespace
 
-    ~TcpTransport() override {
-        close();
-        if (fd_ >= 0) {
-            ::close(fd_);
-            fd_ = -1;
-        }
-    }
+TcpTransport::TcpTransport(int fd, std::string peer, TcpOptions options)
+    : fd_(fd), peer_(std::move(peer)), opts_(options),
+      pool_(opts_.pool ? opts_.pool : &FrameBufferPool::global()),
+      intake_(opts_.intake_capacity ? opts_.intake_capacity : 1) {
+    set_nodelay(fd_);
+    set_buffer_bounds(fd_, opts_);
+    // Writer-only scratch, sized once: drains never touch the heap.
+    batch_.reserve(kMaxBatchFrames);
+    iov_.reserve(kMaxBatchFrames);
+}
 
-    void send_frame(FrameBuffer frame) override {
-        obs::FlightRecorder::emit(
-            obs::EventType::kFrameSend, frame.size(),
-            frame.size() >= cdr::GiopHeader::kSize
-                ? cdr::frame_band(frame.data())
-                : 0);
-        std::unique_lock lk(mu_);
-        if (t_reactor_loop_thread && !closing_ && !send_failed_ &&
-            count_ == intake_.size()) {
-            // A loop-thread sender (frame/closed callback replying under
-            // backpressure) must never wait for intake space: the only
-            // drain that frees it is the EPOLLOUT this very thread
-            // delivers, so the wait below would deadlock the loop — and
-            // every wire it owns. One inline resume attempt either ships
-            // the parked batch (freeing intake slots) or re-parks on
-            // EAGAIN; if the intake is still full after it, a counted
-            // drop beats a frozen loop.
-            if (parked_ && !writer_active_) {
-                writer_active_ = true;
-                const bool want_writable = drain(lk);
-                if (want_writable) {
-                    lk.unlock();
-                    cv_.notify_all();
-                    if (request_writable_) request_writable_();
-                    lk.lock();
-                }
-            }
-            if (!closing_ && !send_failed_ && count_ == intake_.size()) {
-                frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-                lk.unlock();
-                frame.release();
-                return;
-            }
-        }
-        if (!closing_ && !send_failed_ && !no_new_frames_ &&
-            count_ >= intake_.size()) {
-            send_stalls_.fetch_add(1, std::memory_order_relaxed);
-        }
-        cv_.wait(lk, [&] {
-            return closing_ || send_failed_ || no_new_frames_ ||
-                   count_ < intake_.size();
-        });
-        throw_if_unwritable();
-        enqueue(std::move(frame));
-        // A parked batch means the socket would not take more bytes the
-        // last time anyone tried: attempting again from every sender would
-        // burn a syscall per enqueue. The reactor's EPOLLOUT resumes it.
-        if (writer_active_ || parked_) return;
-        // Corked (mid read-pump): stage replies for one flush at uncork.
-        // A full intake still drains here so corking never deadlocks a
-        // sender against its own backpressure.
-        if (corked_ && count_ < intake_.size()) return;
-        writer_active_ = true;
-        const bool want_writable = drain(lk);
-        const bool failed = send_failed_;
-        const int err = send_errno_;
-        lk.unlock();
-        cv_.notify_all();
-        if (want_writable && request_writable_) request_writable_();
-        if (failed) {
-            throw TransportError(std::string("send: ") + std::strerror(err));
-        }
+TcpTransport::~TcpTransport() {
+    close();
+    if (fd_ >= 0) {
+        ::close(fd_);
+        fd_ = -1;
     }
+}
 
-    std::optional<FrameBuffer> recv_frame() override {
-        if (fd_ < 0) return std::nullopt;
-        if (nonblocking_.load(std::memory_order_relaxed)) {
-            throw TransportError(
-                "recv_frame on a reactor-managed transport (the reactor "
-                "owns the read direction)");
-        }
-        std::uint8_t header_bytes[cdr::GiopHeader::kSize];
-        if (!buffered_read(header_bytes, sizeof(header_bytes))) {
-            return std::nullopt;
-        }
-        const cdr::GiopHeader header =
-            cdr::decode_header(header_bytes, sizeof(header_bytes));
-        const std::size_t total =
-            cdr::GiopHeader::kSize + static_cast<std::size_t>(header.message_size);
-        if (total > opts_.max_frame_bytes) {
-            // Validate before sizing the buffer: a corrupt or hostile
-            // header must not drive an unbounded allocation.
-            throw TransportError(
-                "GIOP frame of " + std::to_string(total) +
-                " bytes exceeds the max-frame limit (" +
-                std::to_string(opts_.max_frame_bytes) + ")");
-        }
-        FrameBuffer frame = pool_->acquire(total);
-        std::memcpy(frame.data(), header_bytes, cdr::GiopHeader::kSize);
-        if (header.message_size > 0 &&
-            !buffered_read(frame.data() + cdr::GiopHeader::kSize,
-                           header.message_size)) {
-            throw TransportError("connection truncated mid-frame");
-        }
-        frames_received_.fetch_add(1, std::memory_order_relaxed);
-        obs::FlightRecorder::emit(obs::EventType::kFrameRecv, total,
-                                  cdr::frame_band(frame.data()));
-        return frame;
-    }
-
-    void close() override {
-        {
-            std::lock_guard lk(mu_);
-            closing_ = true;
-        }
-        cv_.notify_all();
-        // Unblocks a reader parked in read() and fails any in-flight
-        // sendmsg. The fd itself stays open until destruction so no thread
-        // can race a reused descriptor.
-        if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-        std::unique_lock lk(mu_);
-        cv_.wait(lk, [&] { return !writer_active_; });
-        // A parked batch has no drainer to wake: drop it here along with
-        // the queue, deterministically and counted.
-        drop_parked_locked();
-        drop_queue_locked();
-    }
-
-    void prepare_close() override {
-        std::unique_lock lk(mu_);
-        if (closing_ || send_failed_) return;
-        // Phase 1 of the lane group's two-phase close: refuse new frames,
-        // push what is already queued onto the wire, send NO FIN. Senders
-        // blocked on intake space wake and throw as if close() ran.
-        no_new_frames_ = true;
-        cv_.notify_all();
-        if (t_reactor_loop_thread) {
-            // A loop thread cannot wait for a quiescing writer or a parked
-            // batch — both may need this very thread's events to progress.
-            // close() on this lane will drop whatever remains, counted.
-            return;
-        }
-        cv_.wait(lk, [&] { return !writer_active_; });
-        if (!closing_ && !send_failed_ && !parked_ && count_ > 0) {
+void TcpTransport::send_frame(FrameBuffer frame) {
+    obs::FlightRecorder::emit(
+        obs::EventType::kFrameSend, frame.size(),
+        frame.size() >= cdr::GiopHeader::kSize
+            ? cdr::frame_band(frame.data())
+            : 0);
+    std::unique_lock lk(mu_);
+    if (t_reactor_loop_thread && !closing_ && !send_failed_ &&
+        count_ == intake_.size()) {
+        // A loop-thread sender (frame/closed callback replying under
+        // backpressure) must never wait for intake space: the only
+        // drain that frees it is the EPOLLOUT this very thread
+        // delivers, so the wait below would deadlock the loop — and
+        // every wire it owns. One inline resume attempt either ships
+        // the parked batch (freeing intake slots) or re-parks on
+        // EAGAIN; if the intake is still full after it, a counted
+        // drop beats a frozen loop.
+        if (parked_ && !writer_active_) {
             writer_active_ = true;
             const bool want_writable = drain(lk);
             if (want_writable) {
@@ -239,347 +123,394 @@ public:
                 lk.lock();
             }
         }
-        // A parked batch (reactor mode, socket backed up) finishes via
-        // EPOLLOUT: wait until it flushes or the connection dies, so every
-        // frame accepted before this call is on the wire when we return.
-        cv_.wait(lk, [&] {
-            return closing_ || send_failed_ || (!parked_ && count_ == 0);
-        });
+        if (!closing_ && !send_failed_ && count_ == intake_.size()) {
+            frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+            lk.unlock();
+            frame.release();
+            return;
+        }
     }
-
-    std::string peer_description() const override { return peer_; }
-
-    TransportStats stats() const override {
-        TransportStats s;
-        s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-        s.frames_received = frames_received_.load(std::memory_order_relaxed);
-        s.frames_dropped = frames_dropped_.load(std::memory_order_relaxed);
-        s.send_syscalls = send_syscalls_.load(std::memory_order_relaxed);
-        s.send_batches = send_batches_.load(std::memory_order_relaxed);
-        s.max_batch_frames = max_batch_.load(std::memory_order_relaxed);
-        s.send_stalls = send_stalls_.load(std::memory_order_relaxed);
-        s.intake_depth_hwm = intake_hwm_.load(std::memory_order_relaxed);
-        return s;
+    if (!closing_ && !send_failed_ && !no_new_frames_ &&
+        count_ >= intake_.size()) {
+        send_stalls_.fetch_add(1, std::memory_order_relaxed);
     }
-
-    ReactorHook* reactor_hook() noexcept override { return this; }
-
-    // One override serves both bases: Transport::frame_pool and
-    // ReactorHook::frame_pool share the signature.
-    FrameBufferPool& frame_pool() noexcept override { return *pool_; }
-
-    void set_frame_pool(FrameBufferPool* pool) noexcept override {
-        pool_ = pool ? pool : &FrameBufferPool::global();
+    cv_.wait(lk, [&] {
+        return closing_ || send_failed_ || no_new_frames_ ||
+               count_ < intake_.size();
+    });
+    throw_if_unwritable();
+    enqueue(std::move(frame));
+    // A parked batch means the socket would not take more bytes the
+    // last time anyone tried: attempting again from every sender would
+    // burn a syscall per enqueue. The reactor's EPOLLOUT resumes it.
+    if (writer_active_ || parked_) return;
+    // Corked (mid read-pump): stage replies for one flush at uncork.
+    // A full intake still drains here so corking never deadlocks a
+    // sender against its own backpressure.
+    if (corked_ && count_ < intake_.size()) return;
+    writer_active_ = true;
+    const bool want_writable = drain(lk);
+    const bool failed = send_failed_;
+    const int err = send_errno_;
+    lk.unlock();
+    cv_.notify_all();
+    if (want_writable && request_writable_) request_writable_();
+    if (failed) {
+        throw TransportError(std::string("send: ") + std::strerror(err));
     }
+}
 
-    // ---- ReactorHook ----
+std::optional<FrameBuffer> TcpTransport::recv_frame() {
+    if (fd_ < 0) return std::nullopt;
+    if (nonblocking_.load(std::memory_order_relaxed)) {
+        throw TransportError(
+            "recv_frame on a reactor-managed transport (the reactor "
+            "owns the read direction)");
+    }
+    std::uint8_t header_bytes[cdr::GiopHeader::kSize];
+    if (!buffered_read(header_bytes, sizeof(header_bytes))) {
+        return std::nullopt;
+    }
+    const cdr::GiopHeader header =
+        cdr::decode_header(header_bytes, sizeof(header_bytes));
+    const std::size_t total =
+        cdr::GiopHeader::kSize + static_cast<std::size_t>(header.message_size);
+    if (total > opts_.max_frame_bytes) {
+        // Validate before sizing the buffer: a corrupt or hostile
+        // header must not drive an unbounded allocation.
+        throw TransportError(
+            "GIOP frame of " + std::to_string(total) +
+            " bytes exceeds the max-frame limit (" +
+            std::to_string(opts_.max_frame_bytes) + ")");
+    }
+    FrameBuffer frame = pool_->acquire(total);
+    std::memcpy(frame.data(), header_bytes, cdr::GiopHeader::kSize);
+    if (header.message_size > 0 &&
+        !buffered_read(frame.data() + cdr::GiopHeader::kSize,
+                       header.message_size)) {
+        throw TransportError("connection truncated mid-frame");
+    }
+    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::emit(obs::EventType::kFrameRecv, total,
+                              cdr::frame_band(frame.data()));
+    return frame;
+}
 
-    int descriptor() const noexcept override { return fd_; }
-
-    void enter_reactor_mode(std::function<void()> request_writable) override {
+void TcpTransport::close() {
+    {
         std::lock_guard lk(mu_);
-        const int flags = ::fcntl(fd_, F_GETFL, 0);
-        if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-        request_writable_ = std::move(request_writable);
-        nonblocking_.store(true, std::memory_order_relaxed);
+        closing_ = true;
     }
+    cv_.notify_all();
+    // Unblocks a reader parked in read() and fails any in-flight
+    // sendmsg. The fd itself stays open until destruction so no thread
+    // can race a reused descriptor.
+    if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+    std::unique_lock lk(mu_);
+    cv_.wait(lk, [&] { return !writer_active_; });
+    // A parked batch has no drainer to wake: drop it here along with
+    // the queue, deterministically and counted.
+    drop_parked_locked();
+    drop_queue_locked();
+}
 
-    bool flush_pending_writes() override {
-        std::unique_lock lk(mu_);
-        // An active drainer owns the socket; its own EAGAIN re-requests
-        // writability, so there is nothing for the reactor to take over.
-        if (writer_active_) return true;
-        if (!parked_ && count_ == 0) return true; // spurious wake: no-op
-        if (closing_ || send_failed_) {
-            drop_parked_locked();
-            drop_queue_locked();
+void TcpTransport::prepare_close() {
+    std::unique_lock lk(mu_);
+    if (closing_ || send_failed_) return;
+    // Phase 1 of the lane group's two-phase close: refuse new frames,
+    // push what is already queued onto the wire, send NO FIN. Senders
+    // blocked on intake space wake and throw as if close() ran.
+    no_new_frames_ = true;
+    cv_.notify_all();
+    if (t_reactor_loop_thread) {
+        // A loop thread cannot wait for a quiescing writer or a parked
+        // batch — both may need this very thread's events to progress.
+        // close() on this lane will drop whatever remains, counted.
+        return;
+    }
+    cv_.wait(lk, [&] { return !writer_active_; });
+    if (!closing_ && !send_failed_ && !parked_ && count_ > 0) {
+        writer_active_ = true;
+        const bool want_writable = drain(lk);
+        if (want_writable) {
             lk.unlock();
             cv_.notify_all();
-            return true;
+            if (request_writable_) request_writable_();
+            lk.lock();
         }
-        writer_active_ = true;
-        const bool want_writable = drain(lk);
+    }
+    // A parked batch (reactor mode, socket backed up) finishes via
+    // EPOLLOUT: wait until it flushes or the connection dies, so every
+    // frame accepted before this call is on the wire when we return.
+    cv_.wait(lk, [&] {
+        return closing_ || send_failed_ || (!parked_ && count_ == 0);
+    });
+}
+
+TransportStats TcpTransport::stats() const {
+    TransportStats s;
+    s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
+    s.frames_received = frames_received_.load(std::memory_order_relaxed);
+    s.frames_dropped = frames_dropped_.load(std::memory_order_relaxed);
+    s.send_syscalls = send_syscalls_.load(std::memory_order_relaxed);
+    s.send_batches = send_batches_.load(std::memory_order_relaxed);
+    s.max_batch_frames = max_batch_.load(std::memory_order_relaxed);
+    s.send_stalls = send_stalls_.load(std::memory_order_relaxed);
+    s.intake_depth_hwm = intake_hwm_.load(std::memory_order_relaxed);
+    return s;
+}
+
+void TcpTransport::enter_reactor_mode(
+    std::function<void()> request_writable) {
+    std::lock_guard lk(mu_);
+    const int flags = ::fcntl(fd_, F_GETFL, 0);
+    if (flags >= 0) ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
+    request_writable_ = std::move(request_writable);
+    nonblocking_.store(true, std::memory_order_relaxed);
+}
+
+bool TcpTransport::flush_pending_writes() {
+    std::unique_lock lk(mu_);
+    // An active drainer owns the socket; its own EAGAIN re-requests
+    // writability, so there is nothing for the reactor to take over.
+    if (writer_active_) return true;
+    if (!parked_ && count_ == 0) return true; // spurious wake: no-op
+    if (closing_ || send_failed_) {
+        drop_parked_locked();
+        drop_queue_locked();
         lk.unlock();
         cv_.notify_all();
-        if (want_writable && request_writable_) request_writable_();
-        return !want_writable;
+        return true;
     }
+    writer_active_ = true;
+    const bool want_writable = drain(lk);
+    lk.unlock();
+    cv_.notify_all();
+    if (want_writable && request_writable_) request_writable_();
+    return !want_writable;
+}
 
-    std::size_t max_frame_bytes() const noexcept override {
-        return opts_.max_frame_bytes;
-    }
+void TcpTransport::note_frame_received() noexcept {
+    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::emit(obs::EventType::kFrameRecv, 0, 0);
+}
 
-    void note_frame_received() noexcept override {
-        frames_received_.fetch_add(1, std::memory_order_relaxed);
-        obs::FlightRecorder::emit(obs::EventType::kFrameRecv, 0, 0);
-    }
+void TcpTransport::set_corked(bool on) {
+    std::unique_lock lk(mu_);
+    corked_ = on;
+    if (on) return;
+    // Uncork: flush whatever the pump's callbacks staged. Skip if a
+    // drainer already owns the socket or a parked batch awaits its
+    // EPOLLOUT — both resume the queue on their own.
+    if (writer_active_ || parked_ || count_ == 0) return;
+    if (closing_ || send_failed_) return;
+    writer_active_ = true;
+    const bool want_writable = drain(lk);
+    lk.unlock();
+    cv_.notify_all();
+    if (want_writable && request_writable_) request_writable_();
+}
 
-    void set_corked(bool on) override {
-        std::unique_lock lk(mu_);
-        corked_ = on;
-        if (on) return;
-        // Uncork: flush whatever the pump's callbacks staged. Skip if a
-        // drainer already owns the socket or a parked batch awaits its
-        // EPOLLOUT — both resume the queue on their own.
-        if (writer_active_ || parked_ || count_ == 0) return;
-        if (closing_ || send_failed_) return;
-        writer_active_ = true;
-        const bool want_writable = drain(lk);
-        lk.unlock();
-        cv_.notify_all();
-        if (want_writable && request_writable_) request_writable_();
-    }
-
-private:
-    enum class WriteOutcome { kDone, kAgain, kError };
-
-    /// Buffered read_exact: drains the recv staging buffer first and
-    /// refills it with single read() calls sized to the whole buffer, so a
-    /// burst of queued frames costs ~one syscall instead of two per frame.
-    /// Remainders at least a buffer long bypass staging and land directly
-    /// in the caller's storage (no copy for large bodies). Same contract
-    /// as read_exact: false on orderly EOF at a frame boundary, throws on
-    /// truncation or error. Reader-thread only, like recv_frame itself.
-    bool buffered_read(std::uint8_t* dst, std::size_t n) {
-        std::size_t got = 0;
-        while (got < n) {
-            const std::size_t have = rlen_ - rpos_;
-            if (have > 0) {
-                const std::size_t take = have < n - got ? have : n - got;
-                std::memcpy(dst + got, rbuf_.data() + rpos_, take);
-                rpos_ += take;
-                got += take;
-                continue;
-            }
-            // Lazily sized: reactor-managed transports never stage here.
-            if (rbuf_.empty()) rbuf_.resize(kRecvScratchBytes);
-            if (n - got >= rbuf_.size()) {
-                if (!read_exact(fd_, dst + got, n - got)) {
-                    if (got == 0) return false;
-                    throw TransportError("connection truncated mid-frame");
-                }
-                return true;
-            }
-            rpos_ = 0;
-            rlen_ = 0;
-            const ssize_t r = ::read(fd_, rbuf_.data(), rbuf_.size());
-            if (r == 0) {
+/// Buffered read_exact: drains the recv staging buffer first and
+/// refills it with single read() calls sized to the whole buffer, so a
+/// burst of queued frames costs ~one syscall instead of two per frame.
+/// Remainders at least a buffer long bypass staging and land directly
+/// in the caller's storage (no copy for large bodies). Same contract
+/// as read_exact: false on orderly EOF at a frame boundary, throws on
+/// truncation or error. Reader-thread only, like recv_frame itself.
+bool TcpTransport::buffered_read(std::uint8_t* dst, std::size_t n) {
+    std::size_t got = 0;
+    while (got < n) {
+        const std::size_t have = rlen_ - rpos_;
+        if (have > 0) {
+            const std::size_t take = have < n - got ? have : n - got;
+            std::memcpy(dst + got, rbuf_.data() + rpos_, take);
+            rpos_ += take;
+            got += take;
+            continue;
+        }
+        // Lazily sized: reactor-managed transports never stage here.
+        if (rbuf_.empty()) rbuf_.resize(kRecvScratchBytes);
+        if (n - got >= rbuf_.size()) {
+            if (!read_exact(fd_, dst + got, n - got)) {
                 if (got == 0) return false;
                 throw TransportError("connection truncated mid-frame");
             }
-            if (r < 0) {
-                if (errno == EINTR) continue;
-                fail_errno("read");
-            }
-            rlen_ = static_cast<std::size_t>(r);
+            return true;
         }
-        return true;
-    }
-
-    void throw_if_unwritable() {
-        if (closing_ || no_new_frames_) {
-            throw TransportError("transport closed");
+        rpos_ = 0;
+        rlen_ = 0;
+        const ssize_t r = ::read(fd_, rbuf_.data(), rbuf_.size());
+        if (r == 0) {
+            if (got == 0) return false;
+            throw TransportError("connection truncated mid-frame");
         }
-        if (send_failed_) {
-            throw TransportError(std::string("send: ") +
-                                 std::strerror(send_errno_));
+        if (r < 0) {
+            if (errno == EINTR) continue;
+            fail_errno("read");
         }
+        rlen_ = static_cast<std::size_t>(r);
     }
+    return true;
+}
 
-    void enqueue(FrameBuffer frame) {
-        intake_[(head_ + count_) % intake_.size()] = std::move(frame);
-        ++count_;
-        // mu_ is held, so a plain load/store high-water update suffices
-        // (the atomic is only for the lock-free read in stats()).
-        if (count_ > intake_hwm_.load(std::memory_order_relaxed)) {
-            intake_hwm_.store(count_, std::memory_order_relaxed);
+void TcpTransport::throw_if_unwritable() {
+    if (closing_ || no_new_frames_) {
+        throw TransportError("transport closed");
+    }
+    if (send_failed_) {
+        throw TransportError(std::string("send: ") +
+                             std::strerror(send_errno_));
+    }
+}
+
+void TcpTransport::enqueue(FrameBuffer frame) {
+    intake_[(head_ + count_) % intake_.size()] = std::move(frame);
+    ++count_;
+    // mu_ is held, so a plain load/store high-water update suffices
+    // (the atomic is only for the lock-free read in stats()).
+    if (count_ > intake_hwm_.load(std::memory_order_relaxed)) {
+        intake_hwm_.store(count_, std::memory_order_relaxed);
+    }
+}
+
+FrameBuffer TcpTransport::dequeue() {
+    FrameBuffer out = std::move(intake_[head_]);
+    head_ = (head_ + 1) % intake_.size();
+    --count_;
+    return out;
+}
+
+/// Drop every queued frame (storage returns to the pool) and account
+/// for it. Called with mu_ held once the writer has quiesced.
+void TcpTransport::drop_queue_locked() {
+    if (count_ == 0) return;
+    frames_dropped_.fetch_add(count_, std::memory_order_relaxed);
+    while (count_ > 0) dequeue().release();
+}
+
+/// Drop a batch parked mid-write (the peer sees a truncated stream —
+/// only reached when the connection is going down anyway). mu_ held.
+void TcpTransport::drop_parked_locked() {
+    if (batch_.empty()) return;
+    frames_dropped_.fetch_add(batch_.size(), std::memory_order_relaxed);
+    for (auto& b : batch_) b.release();
+    batch_.clear();
+    iov_.clear();
+    iov_at_ = 0;
+    parked_ = false;
+}
+
+/// Writer loop: repeatedly peel up to kMaxBatchFrames off the intake
+/// (or resume a parked batch) and ship them with one scatter-gather
+/// syscall each flush. Entered with mu_ held and writer_active_ set;
+/// returns the same way with writer_active_ cleared. Returns true when
+/// the batch parked on EAGAIN and the caller must invoke
+/// request_writable_ (outside the lock) so the reactor resumes it.
+bool TcpTransport::drain(std::unique_lock<std::mutex>& lk) {
+    while (!closing_ && !send_failed_) {
+        if (!parked_) {
+            if (count_ == 0) break;
+            const std::size_t n =
+                count_ < kMaxBatchFrames ? count_ : kMaxBatchFrames;
+            for (std::size_t i = 0; i < n; ++i) batch_.push_back(dequeue());
+            stage_batch();
+        } else {
+            parked_ = false; // resume the saved iovec position
+            obs::FlightRecorder::emit(obs::EventType::kWriterResume,
+                                      static_cast<std::uint64_t>(fd_),
+                                      static_cast<std::uint32_t>(
+                                          batch_.size()));
         }
-    }
-
-    FrameBuffer dequeue() {
-        FrameBuffer out = std::move(intake_[head_]);
-        head_ = (head_ + 1) % intake_.size();
-        --count_;
-        return out;
-    }
-
-    /// Drop every queued frame (storage returns to the pool) and account
-    /// for it. Called with mu_ held once the writer has quiesced.
-    void drop_queue_locked() {
-        if (count_ == 0) return;
-        frames_dropped_.fetch_add(count_, std::memory_order_relaxed);
-        while (count_ > 0) dequeue().release();
-    }
-
-    /// Drop a batch parked mid-write (the peer sees a truncated stream —
-    /// only reached when the connection is going down anyway). mu_ held.
-    void drop_parked_locked() {
-        if (batch_.empty()) return;
-        frames_dropped_.fetch_add(batch_.size(), std::memory_order_relaxed);
+        lk.unlock();
+        cv_.notify_all(); // intake space freed: admit blocked senders
+        const WriteOutcome outcome = write_batch_step();
+        if (outcome == WriteOutcome::kAgain) {
+            obs::FlightRecorder::emit(obs::EventType::kWriterPark,
+                                      static_cast<std::uint64_t>(fd_),
+                                      static_cast<std::uint32_t>(
+                                          batch_.size()));
+            lk.lock();
+            parked_ = true;
+            writer_active_ = false;
+            return true;
+        }
+        const std::size_t n = batch_.size();
         for (auto& b : batch_) b.release();
         batch_.clear();
         iov_.clear();
         iov_at_ = 0;
-        parked_ = false;
+        lk.lock();
+        if (outcome == WriteOutcome::kDone) {
+            frames_sent_.fetch_add(n, std::memory_order_relaxed);
+            obs::FlightRecorder::emit(obs::EventType::kCoalesceFlush,
+                                      static_cast<std::uint64_t>(fd_),
+                                      static_cast<std::uint32_t>(n));
+        } else {
+            send_failed_ = true;
+            frames_dropped_.fetch_add(n, std::memory_order_relaxed);
+        }
     }
+    if (closing_ || send_failed_) {
+        drop_parked_locked();
+        drop_queue_locked();
+    }
+    writer_active_ = false;
+    return false;
+}
 
-    /// Writer loop: repeatedly peel up to kMaxBatchFrames off the intake
-    /// (or resume a parked batch) and ship them with one scatter-gather
-    /// syscall each flush. Entered with mu_ held and writer_active_ set;
-    /// returns the same way with writer_active_ cleared. Returns true when
-    /// the batch parked on EAGAIN and the caller must invoke
-    /// request_writable_ (outside the lock) so the reactor resumes it.
-    bool drain(std::unique_lock<std::mutex>& lk) {
-        while (!closing_ && !send_failed_) {
-            if (!parked_) {
-                if (count_ == 0) break;
-                const std::size_t n =
-                    count_ < kMaxBatchFrames ? count_ : kMaxBatchFrames;
-                for (std::size_t i = 0; i < n; ++i) batch_.push_back(dequeue());
-                stage_batch();
+/// Build the iovec array for batch_ and account the flush attempt.
+void TcpTransport::stage_batch() {
+    iov_.clear();
+    iov_at_ = 0;
+    for (auto& b : batch_) {
+        if (b.size() == 0) continue;
+        iov_.push_back(iovec{b.data(), b.size()});
+    }
+    send_batches_.fetch_add(1, std::memory_order_relaxed);
+    std::uint64_t prev = max_batch_.load(std::memory_order_relaxed);
+    while (batch_.size() > prev &&
+           !max_batch_.compare_exchange_weak(prev, batch_.size(),
+                                             std::memory_order_relaxed)) {
+    }
+}
+
+/// Ship the staged iovecs with sendmsg(MSG_NOSIGNAL), advancing across
+/// partial writes. kAgain (non-blocking sockets only) keeps iov_at_ and
+/// the partially-advanced iovecs so a later call resumes exactly where
+/// the socket stopped accepting bytes.
+TcpTransport::WriteOutcome TcpTransport::write_batch_step() {
+    while (iov_at_ < iov_.size()) {
+        msghdr mh{};
+        mh.msg_iov = iov_.data() + iov_at_;
+        mh.msg_iovlen = iov_.size() - iov_at_;
+        const ssize_t w = ::sendmsg(fd_, &mh, MSG_NOSIGNAL);
+        if (w < 0) {
+            if (errno == EINTR) continue;
+            if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
+                nonblocking_.load(std::memory_order_relaxed)) {
+                return WriteOutcome::kAgain;
+            }
+            send_errno_ = errno;
+            return WriteOutcome::kError;
+        }
+        send_syscalls_.fetch_add(1, std::memory_order_relaxed);
+        std::size_t advanced = static_cast<std::size_t>(w);
+        while (advanced > 0 && iov_at_ < iov_.size()) {
+            if (advanced >= iov_[iov_at_].iov_len) {
+                advanced -= iov_[iov_at_].iov_len;
+                ++iov_at_;
             } else {
-                parked_ = false; // resume the saved iovec position
-                obs::FlightRecorder::emit(obs::EventType::kWriterResume,
-                                          static_cast<std::uint64_t>(fd_),
-                                          static_cast<std::uint32_t>(
-                                              batch_.size()));
+                iov_[iov_at_].iov_base =
+                    static_cast<std::uint8_t*>(iov_[iov_at_].iov_base) +
+                    advanced;
+                iov_[iov_at_].iov_len -= advanced;
+                advanced = 0;
             }
-            lk.unlock();
-            cv_.notify_all(); // intake space freed: admit blocked senders
-            const WriteOutcome outcome = write_batch_step();
-            if (outcome == WriteOutcome::kAgain) {
-                obs::FlightRecorder::emit(obs::EventType::kWriterPark,
-                                          static_cast<std::uint64_t>(fd_),
-                                          static_cast<std::uint32_t>(
-                                              batch_.size()));
-                lk.lock();
-                parked_ = true;
-                writer_active_ = false;
-                return true;
-            }
-            const std::size_t n = batch_.size();
-            for (auto& b : batch_) b.release();
-            batch_.clear();
-            iov_.clear();
-            iov_at_ = 0;
-            lk.lock();
-            if (outcome == WriteOutcome::kDone) {
-                frames_sent_.fetch_add(n, std::memory_order_relaxed);
-                obs::FlightRecorder::emit(obs::EventType::kCoalesceFlush,
-                                          static_cast<std::uint64_t>(fd_),
-                                          static_cast<std::uint32_t>(n));
-            } else {
-                send_failed_ = true;
-                frames_dropped_.fetch_add(n, std::memory_order_relaxed);
-            }
-        }
-        if (closing_ || send_failed_) {
-            drop_parked_locked();
-            drop_queue_locked();
-        }
-        writer_active_ = false;
-        return false;
-    }
-
-    /// Build the iovec array for batch_ and account the flush attempt.
-    void stage_batch() {
-        iov_.clear();
-        iov_at_ = 0;
-        for (auto& b : batch_) {
-            if (b.size() == 0) continue;
-            iov_.push_back(iovec{b.data(), b.size()});
-        }
-        send_batches_.fetch_add(1, std::memory_order_relaxed);
-        std::uint64_t prev = max_batch_.load(std::memory_order_relaxed);
-        while (batch_.size() > prev &&
-               !max_batch_.compare_exchange_weak(prev, batch_.size(),
-                                                 std::memory_order_relaxed)) {
         }
     }
-
-    /// Ship the staged iovecs with sendmsg(MSG_NOSIGNAL), advancing across
-    /// partial writes. kAgain (non-blocking sockets only) keeps iov_at_ and
-    /// the partially-advanced iovecs so a later call resumes exactly where
-    /// the socket stopped accepting bytes.
-    WriteOutcome write_batch_step() {
-        while (iov_at_ < iov_.size()) {
-            msghdr mh{};
-            mh.msg_iov = iov_.data() + iov_at_;
-            mh.msg_iovlen = iov_.size() - iov_at_;
-            const ssize_t w = ::sendmsg(fd_, &mh, MSG_NOSIGNAL);
-            if (w < 0) {
-                if (errno == EINTR) continue;
-                if ((errno == EAGAIN || errno == EWOULDBLOCK) &&
-                    nonblocking_.load(std::memory_order_relaxed)) {
-                    return WriteOutcome::kAgain;
-                }
-                send_errno_ = errno;
-                return WriteOutcome::kError;
-            }
-            send_syscalls_.fetch_add(1, std::memory_order_relaxed);
-            std::size_t advanced = static_cast<std::size_t>(w);
-            while (advanced > 0 && iov_at_ < iov_.size()) {
-                if (advanced >= iov_[iov_at_].iov_len) {
-                    advanced -= iov_[iov_at_].iov_len;
-                    ++iov_at_;
-                } else {
-                    iov_[iov_at_].iov_base =
-                        static_cast<std::uint8_t*>(iov_[iov_at_].iov_base) +
-                        advanced;
-                    iov_[iov_at_].iov_len -= advanced;
-                    advanced = 0;
-                }
-            }
-        }
-        return WriteOutcome::kDone;
-    }
-
-    int fd_;
-    std::string peer_;
-    TcpOptions opts_;
-    /// Inbound frame storage source; swapped only before traffic flows.
-    FrameBufferPool* pool_;
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::vector<FrameBuffer> intake_; ///< fixed ring: slots never realloc
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-    bool writer_active_ = false;
-    bool closing_ = false;
-    bool send_failed_ = false;
-    /// prepare_close() ran: new sends throw, queued frames still flush.
-    bool no_new_frames_ = false;
-    /// Reactor mode: a batch hit EAGAIN mid-write and waits for EPOLLOUT.
-    bool parked_ = false;
-    // Reactor read-pump cork: replies staged in the intake flush together
-    // at uncork instead of one sendmsg each (set_corked).
-    bool corked_ = false;
-    // recv_frame staging (reader thread only, untouched in reactor mode).
-    std::vector<std::uint8_t> rbuf_;
-    std::size_t rpos_ = 0;
-    std::size_t rlen_ = 0;
-    int send_errno_ = 0;
-    std::atomic<bool> nonblocking_{false};
-    std::function<void()> request_writable_;
-
-    // Owned by whichever thread holds writer_active_ (or, while parked_,
-    // by nobody — protected by mu_ until a resumer claims it).
-    std::vector<FrameBuffer> batch_;
-    std::vector<iovec> iov_;
-    std::size_t iov_at_ = 0; ///< first iovec not yet fully written
-
-    std::atomic<std::uint64_t> frames_sent_{0};
-    std::atomic<std::uint64_t> frames_received_{0};
-    std::atomic<std::uint64_t> frames_dropped_{0};
-    std::atomic<std::uint64_t> send_syscalls_{0};
-    std::atomic<std::uint64_t> send_batches_{0};
-    std::atomic<std::uint64_t> max_batch_{0};
-    std::atomic<std::uint64_t> send_stalls_{0};
-    std::atomic<std::uint64_t> intake_hwm_{0};
-};
-
-} // namespace
+    return WriteOutcome::kDone;
+}
 
 void mark_reactor_loop_thread() noexcept { t_reactor_loop_thread = true; }
 

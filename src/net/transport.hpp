@@ -2,8 +2,11 @@
 //
 // Both ORBs exchange self-contained GIOP frames. The evaluation (paper
 // §3.3) ran client and server "on a single machine connected via loopback
-// network"; we provide an in-process loopback transport for the benches
-// and a real TCP transport (with GIOP-aware framing) for distributed use.
+// network"; we provide an in-process loopback transport for the benches,
+// a real TCP transport (GIOP-aware framing, net/tcp.hpp) for distributed
+// use, and a shared-memory wire for co-located peers
+// (net/shm_transport.hpp). Each implements Transport directly; only the
+// TCP wire is also driven by the epoll reactor (ReactorHook below).
 //
 // Frames travel as pooled FrameBuffers (net/frame_pool.hpp): a steady-state
 // send or receive recycles storage instead of allocating it. The
@@ -16,7 +19,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -50,55 +52,13 @@ struct TransportStats {
     std::uint64_t intake_depth_hwm = 0;
 };
 
-/// Hooks an epoll reactor (net/reactor.hpp) uses to drive a transport
-/// without dedicating a blocking thread to it. Obtained via
-/// Transport::reactor_hook(); transports that cannot be multiplexed (the
-/// in-process loopback has no pollable descriptor) return nullptr and
-/// callers fall back to a blocking reader thread.
-class ReactorHook {
-public:
-    virtual ~ReactorHook() = default;
-
-    /// The pollable descriptor the reactor registers with epoll.
-    virtual int descriptor() const noexcept = 0;
-
-    /// Switch the transport into non-blocking reactor mode. The descriptor
-    /// is set O_NONBLOCK; recv_frame() becomes invalid (the reactor owns
-    /// the read direction and assembles frames itself); send_frame keeps
-    /// its blocking-backpressure contract but, instead of blocking in
-    /// sendmsg when the socket backs up, parks the unwritten output and
-    /// invokes `request_writable` (from any thread) so the reactor arms
-    /// EPOLLOUT and resumes the flush when the socket drains.
-    virtual void enter_reactor_mode(std::function<void()> request_writable) = 0;
-
-    /// Reactor-thread call on EPOLLOUT (or before deregistration):
-    /// continue the coalescing drain without blocking. Returns true when
-    /// EPOLLOUT interest can be dropped — nothing is parked, or another
-    /// thread owns the drain and will re-invoke request_writable on its
-    /// own EAGAIN.
-    virtual bool flush_pending_writes() = 0;
-
-    /// Upper bound on header + body the reactor's frame assembly accepts
-    /// (mirrors the transport's own receive bound).
-    virtual std::size_t max_frame_bytes() const noexcept = 0;
-
-    /// Account a reactor-assembled frame in the transport's stats().
-    virtual void note_frame_received() noexcept = 0;
-
-    /// Reactor-thread hint bracketing one read pump: while corked,
-    /// send_frame enqueues without flushing (unless the intake fills, to
-    /// preserve the backpressure contract), so every reply a pump's frame
-    /// callbacks produce leaves in one scatter-gather flush at uncork.
-    /// Default no-op for transports without a coalescing writer.
-    virtual void set_corked(bool) {}
-
-    /// Pool the reactor draws inbound frame storage from when assembling
-    /// this wire's frames. Default: the process-global pool; lane wires
-    /// return their per-lane pool so bands never share a pool ring.
-    virtual FrameBufferPool& frame_pool() noexcept {
-        return FrameBufferPool::global();
-    }
-};
+/// What an epoll reactor (net/reactor.hpp) drives: the concrete TCP wire
+/// (net/tcp.hpp), the only transport with a pollable descriptor. An alias,
+/// not an interface — the reactor calls TcpTransport's methods directly.
+/// The name stays because perfbench's TracedTransport forwards
+/// Transport::reactor_hook() under it.
+class TcpTransport;
+using ReactorHook = TcpTransport;
 
 /// Mark the calling thread as a reactor event-loop thread (one-way; the
 /// reactor calls it once at loop start). Transports consult the mark to
@@ -134,7 +94,10 @@ public:
     virtual TransportStats stats() const { return {}; }
 
     /// Non-null when this transport can hand its descriptor to an epoll
-    /// reactor (see ReactorHook). Default: not multiplexable.
+    /// reactor: the TCP wire itself (see ReactorHook). Transports that
+    /// cannot be multiplexed (the in-process loopback has no pollable
+    /// descriptor) keep the default, and callers fall back to a blocking
+    /// reader thread.
     virtual ReactorHook* reactor_hook() noexcept { return nullptr; }
 
     /// Phase 1 of a two-phase close: stop accepting new frames and flush
@@ -144,8 +107,9 @@ public:
     /// Default no-op; close() alone keeps its full contract.
     virtual void prepare_close() {}
 
-    /// Pool this transport draws inbound frame storage from. Mirrors
-    /// ReactorHook::frame_pool for callers holding only a Transport.
+    /// Pool this transport draws inbound frame storage from (the reactor
+    /// assembles a TCP wire's inbound frames into it too). Lane wires
+    /// return their per-lane pool so bands never share a pool ring.
     virtual FrameBufferPool& frame_pool() noexcept {
         return FrameBufferPool::global();
     }

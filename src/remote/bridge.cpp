@@ -6,7 +6,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/trace_context.hpp"
 
-#include <cstdio>
 
 namespace compadres::remote {
 
@@ -451,10 +450,11 @@ void RemoteBridge::handle_frame(const std::uint8_t* frame, std::size_t size) {
             obs::TraceContext{trace_id, span_id});
         route.out->send_raw(msg, route.priority >= 0 ? route.priority
                                                      : carried_priority);
-    } catch (const std::exception& e) {
+    } catch (const std::exception&) {
+        // Counted in dropped_ (trace_report), not logged: this runs on
+        // the reactor loop, where a stderr write per bad frame stalls
+        // every wire the loop owns.
         dropped_.fetch_add(1, std::memory_order_relaxed);
-        std::fprintf(stderr, "[compadres] bridge %s dropped a frame: %s\n",
-                     name_.c_str(), e.what());
     }
 }
 

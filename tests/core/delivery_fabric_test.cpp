@@ -13,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 using namespace compadres;
@@ -380,5 +382,36 @@ TEST_F(DeliveryFabricTest, TraceReportWorksWithoutSinkInstalled) {
     ASSERT_EQ(report.ports.size(), 1u);
     EXPECT_EQ(report.ports[0].delivered, 1u);
     EXPECT_FALSE(report.ports[0].traced); // counters live, quantiles absent
+    app.shutdown();
+}
+
+TEST_F(DeliveryFabricTest, ThrowingHandlerIsCountedNotLogged) {
+    // A handler failure is a counter on the port, not a stderr line: the
+    // dispatcher runs on the message path, where a write per failed
+    // message would cost more than the message itself.
+    core::Application app("t");
+    auto& a = app.create_immortal<core::Component>("A");
+    auto& b = app.create_immortal<core::Component>("B");
+    auto& out = a.add_out_port<TestMsg>("out", "TestMsg");
+    auto& in = b.add_in_port<TestMsg>(
+        "in", "TestMsg", pooled_port(),
+        [](TestMsg&, core::Smm&) { throw std::runtime_error("handler boom"); });
+    app.connect(a, "out", b, "in");
+
+    testing::internal::CaptureStderr();
+    out.send(out.get_message(), 1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (in.error_count() < 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const std::string logged = testing::internal::GetCapturedStderr();
+
+    EXPECT_EQ(logged, "");
+    const core::TraceReport report = app.trace_report();
+    ASSERT_EQ(report.ports.size(), 1u);
+    EXPECT_EQ(report.ports[0].errors, 1u);
+    EXPECT_EQ(report.ports[0].processed, 0u); // only successes count here
     app.shutdown();
 }

@@ -65,6 +65,29 @@ TEST(Loopback, SendAfterCloseThrows) {
     EXPECT_THROW(a->send_frame(make_frame(1, 4)), net::TransportError);
 }
 
+TEST(Loopback, StatsCountFramesBothWaysAndPeerCloseThrows) {
+    auto [a, b] = net::make_loopback_pair();
+    for (std::uint32_t i = 0; i < 3; ++i) a->send_frame(make_frame(i, 8));
+    for (std::uint32_t i = 0; i < 2; ++i) b->send_frame(make_frame(i, 8));
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(b->recv_frame().has_value());
+    for (int i = 0; i < 2; ++i) ASSERT_TRUE(a->recv_frame().has_value());
+
+    EXPECT_EQ(a->stats().frames_sent, 3u);
+    EXPECT_EQ(a->stats().frames_received, 2u);
+    EXPECT_EQ(b->stats().frames_sent, 2u);
+    EXPECT_EQ(b->stats().frames_received, 3u);
+
+    b->close();
+    try {
+        a->send_frame(make_frame(9, 8));
+        ADD_FAILURE() << "send after the peer closed did not throw";
+    } catch (const net::TransportError& e) {
+        EXPECT_STREQ(e.what(), "loopback peer closed");
+    }
+    // A refused frame is not counted as sent.
+    EXPECT_EQ(a->stats().frames_sent, 3u);
+}
+
 TEST(Tcp, AcceptorPicksFreePort) {
     net::TcpAcceptor acceptor(0);
     EXPECT_GT(acceptor.bound_port(), 0);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -229,6 +230,50 @@ TEST(ShmHandshake, NacksWhenClientCouldNotCreateASegment) {
     EXPECT_EQ(frame_seq(*f), 5u);
 }
 
+TEST(ShmHandshake, NacksSegmentNameOutsideThePrefixBeforeOpeningIt) {
+    // Names no compadres creator makes: a foreign shm object the acceptor
+    // could open and map (an unchecked name reads "bad magic" only after
+    // mapping it), and a right-prefixed name longer than the creator's
+    // buffer. Both must be refused on the name alone.
+    const std::string foreign = "/cpdtest." + std::to_string(getpid());
+    const int fd = shm_open(foreign.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+    ASSERT_GE(fd, 0) << std::strerror(errno);
+    const std::size_t bytes =
+        std::max<std::size_t>(4096, sizeof(net::shm_detail::SegHeader));
+    struct Unlink {
+        std::string name;
+        ~Unlink() { shm_unlink(name.c_str()); }
+    } unlink_foreign{foreign};
+    ASSERT_EQ(ftruncate(fd, static_cast<off_t>(bytes)), 0);
+    ::close(fd);
+    const std::string overlong =
+        net::shm_detail::kNamePrefix + std::string(200, 'x');
+
+    for (const std::string& name : {foreign, overlong}) {
+        net::ShmAcceptor acceptor(0);
+        net::ShmConnectResult server;
+        std::thread accept_thread([&] { server = acceptor.accept(); });
+        auto client = net::tcp_connect("127.0.0.1", acceptor.bound_port());
+        client->send_frame(hello_frame(name, 1, net::shm_detail::kVersion));
+        const HelloReply reply = read_reply(*client);
+        accept_thread.join();
+
+        EXPECT_FALSE(reply.ok);
+        EXPECT_FALSE(server.shm);
+        EXPECT_NE(server.detail.find("hello names a segment outside"),
+                  std::string::npos)
+            << server.detail;
+        EXPECT_NE(reply.detail.find(name.substr(0, 64)), std::string::npos)
+            << reply.detail;
+        // The acceptor fell back to the plain TCP wire, which still works.
+        ASSERT_NE(server.transport, nullptr);
+        client->send_frame(data_frame(6));
+        const auto f = server.transport->recv_frame();
+        ASSERT_TRUE(f.has_value());
+        EXPECT_EQ(frame_seq(*f), 6u);
+    }
+}
+
 TEST(ShmSegment, RejectsDoubleAttach) {
     auto seg = net::ShmSegment::create({});
     auto first = net::ShmSegment::attach(seg->name(), seg->generation());
@@ -364,6 +409,52 @@ TEST(ShmTransport, AbandonMidBurstLosesNothing) {
     EXPECT_GT(shm->counters().tcp_frames_sent, 0u);
     pair.client->close();
     echo.join();
+}
+
+TEST(ShmTransport, StatsCountRingAndFallbackFramesOnBothSides) {
+    NegotiatedPair pair = negotiate({});
+    ASSERT_TRUE(pair.client_shm);
+    ASSERT_TRUE(pair.server_shm);
+    auto* client = dynamic_cast<net::ShmTransport*>(pair.client.get());
+    auto* server = dynamic_cast<net::ShmTransport*>(pair.server.get());
+    ASSERT_NE(client, nullptr);
+    ASSERT_NE(server, nullptr);
+
+    // Over the ring.
+    for (std::uint32_t i = 0; i < 3; ++i) pair.client->send_frame(data_frame(i));
+    for (std::uint32_t i = 0; i < 2; ++i) pair.server->send_frame(data_frame(i));
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(pair.server->recv_frame());
+    for (int i = 0; i < 2; ++i) ASSERT_TRUE(pair.client->recv_frame());
+    EXPECT_EQ(client->stats().frames_sent, 3u);
+    EXPECT_EQ(client->stats().frames_received, 2u);
+    EXPECT_EQ(server->stats().frames_sent, 2u);
+    EXPECT_EQ(server->stats().frames_received, 3u);
+    EXPECT_EQ(client->counters().shm_frames_sent, 3u);
+    EXPECT_EQ(server->counters().shm_frames_sent, 2u);
+
+    // Over the TCP fallback wire, after an orderly abandon.
+    client->abandon_shm("stats drill");
+    for (std::uint32_t i = 3; i < 7; ++i) pair.client->send_frame(data_frame(i));
+    for (std::uint32_t i = 3; i < 7; ++i) {
+        const auto f = pair.server->recv_frame();
+        ASSERT_TRUE(f.has_value());
+        EXPECT_EQ(frame_seq(*f), i);
+    }
+    pair.server->send_frame(data_frame(2));
+    const auto back = pair.client->recv_frame();
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(frame_seq(*back), 2u);
+
+    EXPECT_EQ(client->stats().frames_sent, 7u);
+    EXPECT_EQ(client->stats().frames_received, 3u);
+    EXPECT_EQ(server->stats().frames_sent, 3u);
+    EXPECT_EQ(server->stats().frames_received, 7u);
+    EXPECT_EQ(client->counters().tcp_frames_sent, 4u);
+    EXPECT_EQ(server->counters().tcp_frames_received, 4u);
+    EXPECT_EQ(client->stats().frames_dropped, 0u);
+    EXPECT_EQ(server->stats().frames_dropped, 0u);
+    pair.client->close();
+    pair.server->close();
 }
 
 TEST(ShmTransport, OversizeFrameFailsOverAndStaysOrdered) {
