@@ -90,7 +90,7 @@ std::size_t LanePolicy::band_for_frame(const std::uint8_t* frame,
 LaneGroup::LaneGroup(std::vector<std::unique_ptr<Transport>> lanes,
                      std::vector<std::unique_ptr<FrameBufferPool>> pools,
                      std::uint64_t group_id)
-    : lanes_(std::move(lanes)), pools_(std::move(pools)), group_id_(group_id),
+    : pools_(std::move(pools)), lanes_(std::move(lanes)), group_id_(group_id),
       route_(lanes_.size()), alive_(lanes_.size()) {
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
         route_[i].store(i, std::memory_order_relaxed);
@@ -274,6 +274,7 @@ std::unique_ptr<LaneGroup> LaneAcceptor::accept() {
             if (!frame) continue; // peer vanished before its hello
             hello = decode_hello(*frame);
         } catch (const std::exception&) {
+            refused_.fetch_add(1, std::memory_order_relaxed);
             continue; // not a lane client; drop the connection
         }
         PendingGroup& group = pending_[hello.group_id];
@@ -281,6 +282,7 @@ std::unique_ptr<LaneGroup> LaneAcceptor::accept() {
         if (hello.lane_count != group.lanes.size() ||
             group.lanes[hello.lane_index] != nullptr) {
             pending_.erase(hello.group_id); // inconsistent peer: start over
+            refused_.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
         group.lanes[hello.lane_index] = std::move(conn);

@@ -145,8 +145,11 @@ private:
     void note_lane_failure(std::size_t idx) noexcept;
     void start_readers_locked();
 
-    std::vector<std::unique_ptr<Transport>> lanes_;
+    /// Declared before lanes_ so the pools outlive the lanes drawing from
+    /// them: a lane still holds a half-assembled inbound frame until it
+    /// is destroyed.
     std::vector<std::unique_ptr<FrameBufferPool>> pools_;
+    std::vector<std::unique_ptr<Transport>> lanes_;
     const std::uint64_t group_id_;
 
     /// route_[band] = lane currently carrying that band (== band until a
@@ -186,6 +189,13 @@ public:
     /// groups are kept apart by group id); nullptr after close().
     std::unique_ptr<LaneGroup> accept();
 
+    /// Connections dropped for a bad handshake: a first frame that does
+    /// not read as a lane hello, or a hello that contradicts its group's
+    /// earlier lanes. A peer that closes before any hello is not counted.
+    std::uint64_t handshakes_refused() const noexcept {
+        return refused_.load(std::memory_order_relaxed);
+    }
+
     void close() { acceptor_.close(); }
 
 private:
@@ -197,6 +207,7 @@ private:
     TcpAcceptor acceptor_;
     LaneGroupOptions options_;
     std::map<std::uint64_t, PendingGroup> pending_;
+    std::atomic<std::uint64_t> refused_{0};
 };
 
 } // namespace compadres::net

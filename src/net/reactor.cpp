@@ -1,6 +1,5 @@
 #include "net/reactor.hpp"
 
-#include "cdr/giop.hpp"
 #include "net/tcp.hpp"
 #include "rt/thread.hpp"
 
@@ -9,7 +8,6 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
@@ -36,41 +34,21 @@ std::size_t resolve_threads(std::size_t requested) {
     return cap < 4 ? cap : 4;
 }
 
-/// One registered descriptor plus its incremental inbound-frame state.
-/// Owned by exactly one loop; touched only on that loop's thread.
+/// One registered descriptor. Owned by exactly one loop; touched only on
+/// that loop's thread. The wire assembles its own frames
+/// (TcpTransport::pump_frames); the loop only drives readiness.
 struct Wire {
     std::uint64_t id = 0;
     TcpTransport* tcp = nullptr; ///< must outlive its registration
     Reactor::FrameHandler on_frame;
     Reactor::ClosedHandler on_closed;
-
-    // Frame assembly: header bytes accumulate in `header`; once complete
-    // the pooled frame is sized from message_size and body bytes stream
-    // straight into it. frame_total == 0 means "still reading the header".
-    std::uint8_t header[cdr::GiopHeader::kSize] = {};
-    std::size_t header_got = 0;
-    FrameBuffer frame;
-    std::size_t frame_got = 0;   ///< bytes of `frame` filled (incl. header)
-    std::size_t frame_total = 0; ///< header + body target size
-
-    // Read staging: each refill pulls up to a scratch-full in one read()
-    // and the state machine consumes it in memory, so small frames cost
-    // one syscall instead of header-read + body-read + EAGAIN-read. Sized
-    // when the wire joins its loop.
-    std::vector<std::uint8_t> scratch;
-
     bool want_writable = false; ///< EPOLLOUT armed and not yet delivered
 };
 
-/// Per-wire read staging capacity. Big enough to swallow a typical
-/// wakeup's worth of small frames in one syscall, small enough that a
-/// 64-wire fan-in stages ~1 MiB total.
-constexpr std::size_t kScratchBytes = 16 * 1024;
-
 /// Read-side interest. EPOLLRDHUP rides along so an event that coalesced
-/// data with the peer's FIN is distinguishable: the short-read fast exit
-/// in pump_reads must not be taken then, or the already-queued EOF would
-/// never produce another edge.
+/// data with the peer's FIN is distinguishable: the pump's short-read
+/// exit must not be taken then, or the already-queued EOF would never
+/// produce another edge.
 constexpr std::uint32_t kReadInterest = EPOLLIN | EPOLLRDHUP | EPOLLET;
 
 /// Blocking handshake for cross-thread deregistration. The waiter owns
@@ -103,14 +81,12 @@ struct Command {
 } // namespace
 
 /// One event loop: an epoll instance, the command ring (eventfd doorbell
-/// + queue, registered as interest id 0), the wires assigned to this
-/// thread, and their frame assembly. All descriptor mutations happen on
-/// the loop thread itself (commands are posted, not applied in place), so
-/// interest changes never race the epoll_wait.
+/// + queue, registered as interest id 0) and the wires assigned to this
+/// thread. All descriptor mutations happen on the loop thread itself
+/// (commands are posted, not applied in place), so interest changes never
+/// race the epoll_wait.
 class Reactor::Loop {
 public:
-    enum class PumpResult { kIdle, kClosed };
-
     /// Throws TransportError when the eventfd/epoll plumbing cannot be
     /// set up: a loop whose wait would fail on the first cycle silently
     /// accepts wires and never delivers a frame, so the failure must
@@ -236,124 +212,13 @@ private:
         return saw_stop;
     }
 
-    /// Account and hand off a completed frame; kClosed if the handler
-    /// throws.
-    PumpResult deliver_frame(Wire& w) {
-        w.tcp->note_frame_received();
-        frames_assembled_.fetch_add(1, std::memory_order_relaxed);
-        FrameBuffer complete = std::move(w.frame);
-        w.frame_total = 0;
-        w.frame_got = 0;
-        w.header_got = 0;
-        if (w.on_frame) {
-            try {
-                w.on_frame(std::move(complete));
-            } catch (...) {
-                return PumpResult::kClosed;
-            }
-        }
-        return PumpResult::kIdle;
-    }
-
-    /// Run `len` inbound bytes through the header/body state machine,
-    /// delivering every frame completed along the way (the read pump
-    /// feeds it scratch refills). kClosed on a corrupt/oversize header or
-    /// a throwing frame handler.
-    PumpResult consume(Wire& w, const std::uint8_t* data, std::size_t len) {
-        std::size_t pos = 0;
-        while (pos < len) {
-            const std::size_t avail = len - pos;
-            if (w.frame_total == 0) {
-                const std::size_t take =
-                    std::min(cdr::GiopHeader::kSize - w.header_got, avail);
-                std::memcpy(w.header + w.header_got, data + pos, take);
-                w.header_got += take;
-                pos += take;
-                if (w.header_got < cdr::GiopHeader::kSize) continue;
-                std::size_t total = 0;
-                try {
-                    const cdr::GiopHeader header = cdr::decode_header(
-                        w.header, cdr::GiopHeader::kSize);
-                    total = cdr::GiopHeader::kSize +
-                            static_cast<std::size_t>(header.message_size);
-                } catch (...) {
-                    return PumpResult::kClosed; // corrupt header
-                }
-                if (total > w.tcp->max_frame_bytes()) {
-                    return PumpResult::kClosed;
-                }
-                // Draw from the wire's own pool (per-lane for lane
-                // groups) so bands never share a pool ring.
-                w.frame = w.tcp->frame_pool().acquire(total);
-                std::memcpy(w.frame.data(), w.header, cdr::GiopHeader::kSize);
-                w.frame_total = total;
-                w.frame_got = cdr::GiopHeader::kSize;
-            } else {
-                const std::size_t take =
-                    std::min(w.frame_total - w.frame_got, avail);
-                std::memcpy(w.frame.data() + w.frame_got, data + pos, take);
-                w.frame_got += take;
-                pos += take;
-                if (w.frame_got == w.frame_total &&
-                    deliver_frame(w) == PumpResult::kClosed) {
-                    return PumpResult::kClosed;
-                }
-            }
-        }
-        return PumpResult::kIdle;
-    }
-
-    /// Edge-triggered read pump: drain the socket,
-    /// handing each completed frame to on_frame. kClosed on EOF
-    /// (including EOF mid-frame), read error, oversize/corrupt header, or
-    /// a throwing frame handler.
-    ///
-    /// Reads are staged: each refill pulls up to a scratch-full in one
-    /// syscall and consume() eats it in memory. A short read on a stream
-    /// socket means the kernel buffer is drained (epoll(7)), which
-    /// satisfies the edge-triggered contract without a final EAGAIN read
-    /// — the common case, a few small frames per wakeup, costs one
-    /// syscall total instead of three per frame. Bodies with more than a
-    /// scratch-full outstanding bypass the stage and read straight into
-    /// the pooled frame (no copy).
-    ///
-    /// `peer_closed` (event carried EPOLLRDHUP/ERR/HUP) disables the
-    /// short-read exit: a FIN queued behind the data produces no further
-    /// edge, so this pump must read through to the EOF itself.
-    PumpResult pump_reads(Wire& w, bool peer_closed) {
-        const int fd = w.tcp->descriptor();
-        for (;;) {
-            const bool direct =
-                w.frame_total != 0 &&
-                w.frame_total - w.frame_got >= w.scratch.size();
-            std::uint8_t* dst =
-                direct ? w.frame.data() + w.frame_got : w.scratch.data();
-            const std::size_t want =
-                direct ? w.frame_total - w.frame_got : w.scratch.size();
-            const ssize_t r = ::read(fd, dst, want);
-            if (r == 0) return PumpResult::kClosed; // EOF (incl. mid-frame)
-            if (r < 0) {
-                if (errno == EINTR) continue;
-                if (errno == EAGAIN || errno == EWOULDBLOCK) {
-                    return PumpResult::kIdle;
-                }
-                return PumpResult::kClosed;
-            }
-            read_syscalls_.fetch_add(1, std::memory_order_relaxed);
-            const bool drained =
-                static_cast<std::size_t>(r) < want && !peer_closed;
-            if (direct) {
-                w.frame_got += static_cast<std::size_t>(r);
-                if (w.frame_got == w.frame_total &&
-                    deliver_frame(w) == PumpResult::kClosed) {
-                    return PumpResult::kClosed;
-                }
-            } else if (consume(w, w.scratch.data(),
-                               static_cast<std::size_t>(r)) ==
-                       PumpResult::kClosed) {
-                return PumpResult::kClosed;
-            }
-            if (drained) return PumpResult::kIdle;
+    /// Pump the wire's frames to its handler; closes the wire when the
+    /// pump reports it must (EOF, read error, bad header, throwing
+    /// handler).
+    void pump(Wire& w, bool peer_closed) {
+        if (!w.tcp->pump_frames(w.on_frame, peer_closed, frames_assembled_,
+                                read_syscalls_)) {
+            close_wire(w);
         }
     }
 
@@ -441,15 +306,8 @@ private:
                 }
                 if (ev.events &
                     (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP)) {
-                    const bool peer_closed =
-                        (ev.events & (EPOLLRDHUP | EPOLLERR | EPOLLHUP)) != 0;
-                    // Cork the writer for the pump's duration: replies the
-                    // frame callbacks send coalesce into one flush at
-                    // uncork instead of a sendmsg per frame.
-                    w->tcp->set_corked(true);
-                    const PumpResult pr = pump_reads(*w, peer_closed);
-                    w->tcp->set_corked(false);
-                    if (pr == PumpResult::kClosed) close_wire(*w);
+                    pump(*w, (ev.events &
+                              (EPOLLRDHUP | EPOLLERR | EPOLLHUP)) != 0);
                 }
             }
         }
@@ -469,7 +327,6 @@ private:
     void do_add(std::unique_ptr<Wire> wire) {
         Wire& w = *wire;
         auto [it, inserted] = wires_.emplace(w.id, std::move(wire));
-        w.scratch.resize(std::min(kScratchBytes, w.tcp->max_frame_bytes()));
         epoll_event ev{};
         ev.events = kReadInterest;
         ev.data.u64 = w.id;
@@ -490,12 +347,15 @@ private:
         // registered: a batch still parked re-requests from its own
         // EAGAIN, and this time do_arm (inline, same thread) sticks.
         w.tcp->flush_pending_writes();
+        // Frames a blocking recv_frame read ahead before the handoff sit
+        // in the wire's buffer, not the socket, so no edge announces
+        // them: pump once now.
+        pump(w, false);
     }
 
     /// Deliberate removal (deregister/stop): flush the coalescing intake
     /// — EAGAIN'd output is dropped-and-counted by the transport's own
-    /// close later — and detach the descriptor; then the wire is freed
-    /// (returning any half-assembled inbound frame to the pool).
+    /// close later — and detach the descriptor; then the wire is freed.
     /// on_closed is NOT invoked: that callback means "the peer went
     /// away".
     void do_remove(std::uint64_t id) {

@@ -11,11 +11,15 @@
 // Each loop is one epoll instance. The wires are TCP connections
 // (TcpTransport, net/tcp.hpp — the only transport with a pollable
 // descriptor), driven through their concrete methods rather than an
-// interface. Reads are edge-triggered and pump until the socket drains,
-// assembling GIOP frames incrementally into pooled FrameBuffers; the
-// wire's coalescing writer parks its batch on EAGAIN and the loop arms
-// EPOLLOUT to resume it. on_frame runs on the loop thread, and replies a
-// pump produces coalesce into one flush when the pump uncorks the writer.
+// interface. The loop only drives readiness: the wire assembles its own
+// GIOP frames. Reads are edge-triggered, and each read edge runs the
+// wire's pump_frames, which reads until the socket drains and hands
+// every complete frame to on_frame on the loop thread. Registration
+// pumps once too, so frames a blocking recv_frame read ahead before the
+// handoff are delivered although no edge announces them. Replies a pump
+// produces coalesce into one flush when the pump uncorks the writer; the
+// writer parks its batch on EAGAIN and the loop arms EPOLLOUT to resume
+// it.
 // Cross-thread operations post commands through an eventfd, and
 // deregistration flushes-or-drops deterministically. Wires are assigned
 // round-robin or pinned by priority band (band % thread_count).
@@ -86,7 +90,9 @@ public:
     /// Hand a transport's descriptor to the pool. The transport must be
     /// a TCP wire (Transport::reactor_hook() != nullptr; anything else
     /// throws TransportError) and is switched to non-blocking reactor
-    /// mode here; recv_frame() on it becomes invalid. `band` < 0 assigns
+    /// mode here; recv_frame() on it becomes invalid. Frames an earlier
+    /// recv_frame already read ahead are delivered first, from the loop's
+    /// registration pump. `band` < 0 assigns
     /// round-robin; `band` >= 0 pins to loop (band % thread_count) so
     /// callers can keep priority classes on separate threads. Returns a
     /// wire id for deregister/poke.

@@ -1439,6 +1439,7 @@ ShmConnectResult ShmAcceptor::accept() {
     try {
         first = tcp->recv_frame();
     } catch (const TransportError& e) {
+        refused_.fetch_add(1, std::memory_order_relaxed);
         return ShmConnectResult{nullptr, false,
                                 std::string("handshake read failed: ") +
                                     e.what()};
@@ -1496,6 +1497,7 @@ ShmConnectResult ShmAcceptor::accept() {
             nack = e.what();
         }
     }
+    if (!seg) refused_.fetch_add(1, std::memory_order_relaxed);
 
     try {
         tcp->send_frame(encode_hello_reply(seg != nullptr, nack));

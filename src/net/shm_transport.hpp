@@ -371,11 +371,20 @@ public:
     /// Next negotiated connection; transport is nullptr after close().
     ShmConnectResult accept();
 
+    /// Handshakes refused: a first frame that could not be read, or a
+    /// hello answered with a nack (bad segment name, version mismatch,
+    /// failed attach). A peer that sends no hello keeps plain TCP and is
+    /// not counted.
+    std::uint64_t handshakes_refused() const noexcept {
+        return refused_.load(std::memory_order_relaxed);
+    }
+
     void close() { tcp_.close(); }
 
 private:
     TcpAcceptor tcp_;
     ShmOptions shm_options_;
+    std::atomic<std::uint64_t> refused_{0};
 };
 
 /// Unlink /dev/shm/compadres.* segments whose recorded pids are all gone

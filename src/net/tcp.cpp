@@ -11,6 +11,7 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
@@ -48,32 +49,14 @@ void set_buffer_bounds(int fd, const TcpOptions& options) {
     }
 }
 
-/// Staging size for blocking-read coalescing: one read() pulls whatever
-/// the kernel has queued (bursts of small replies) instead of two reads
-/// per frame (header, then body).
-constexpr std::size_t kRecvScratchBytes = 16 * 1024;
+/// Read-ahead size: one read() pulls whatever the kernel has queued
+/// (bursts of small frames) instead of two reads per frame (header, then
+/// body). Small enough that a 64-wire fan-in stages ~1 MiB in total.
+constexpr std::size_t kReadAheadBytes = 16 * 1024;
 
 /// Frames per scatter-gather flush: the latency bound one drain imposes on
 /// a frame queued behind a sustained burst.
 constexpr std::size_t kMaxBatchFrames = 16;
-
-/// Read exactly n bytes; false on orderly EOF at a frame boundary.
-bool read_exact(int fd, std::uint8_t* dst, std::size_t n) {
-    std::size_t got = 0;
-    while (got < n) {
-        const ssize_t r = ::read(fd, dst + got, n - got);
-        if (r == 0) {
-            if (got == 0) return false;
-            throw TransportError("connection truncated mid-frame");
-        }
-        if (r < 0) {
-            if (errno == EINTR) continue;
-            fail_errno("read");
-        }
-        got += static_cast<std::size_t>(r);
-    }
-    return true;
-}
 
 } // namespace
 
@@ -167,33 +150,48 @@ std::optional<FrameBuffer> TcpTransport::recv_frame() {
             "recv_frame on a reactor-managed transport (the reactor "
             "owns the read direction)");
     }
-    std::uint8_t header_bytes[cdr::GiopHeader::kSize];
-    if (!buffered_read(header_bytes, sizeof(header_bytes))) {
-        return std::nullopt;
+    for (;;) {
+        if (auto frame = take_frame()) return frame;
+        std::size_t want = 0;
+        const ssize_t r = fill(want);
+        // EAGAIN: a registration switched the descriptor to O_NONBLOCK
+        // under this reader, which must not spin on it.
+        if (r < 0) fail_errno("read");
+        if (r == 0) {
+            if (frame_total_ == 0 && rpos_ == rlen_) return std::nullopt;
+            throw TransportError("connection truncated mid-frame");
+        }
     }
-    const cdr::GiopHeader header =
-        cdr::decode_header(header_bytes, sizeof(header_bytes));
-    const std::size_t total =
-        cdr::GiopHeader::kSize + static_cast<std::size_t>(header.message_size);
-    if (total > opts_.max_frame_bytes) {
-        // Validate before sizing the buffer: a corrupt or hostile
-        // header must not drive an unbounded allocation.
-        throw TransportError(
-            "GIOP frame of " + std::to_string(total) +
-            " bytes exceeds the max-frame limit (" +
-            std::to_string(opts_.max_frame_bytes) + ")");
+}
+
+bool TcpTransport::pump_frames(
+    const std::function<void(FrameBuffer)>& on_frame, bool peer_closed,
+    std::atomic<std::uint64_t>& frames, std::atomic<std::uint64_t>& reads) {
+    bool open = true;
+    set_corked(true);
+    try {
+        bool drained = false;
+        for (;;) {
+            while (auto frame = take_frame()) {
+                frames.fetch_add(1, std::memory_order_relaxed);
+                if (on_frame) on_frame(std::move(*frame));
+            }
+            if (drained) break;
+            std::size_t want = 0;
+            const ssize_t r = fill(want);
+            if (r < 0) break; // EAGAIN: drained
+            if (r == 0) {     // EOF, at a boundary or mid-frame
+                open = false;
+                break;
+            }
+            reads.fetch_add(1, std::memory_order_relaxed);
+            drained = static_cast<std::size_t>(r) < want && !peer_closed;
+        }
+    } catch (...) {
+        open = false; // read error, bad header or throwing handler
     }
-    FrameBuffer frame = pool_->acquire(total);
-    std::memcpy(frame.data(), header_bytes, cdr::GiopHeader::kSize);
-    if (header.message_size > 0 &&
-        !buffered_read(frame.data() + cdr::GiopHeader::kSize,
-                       header.message_size)) {
-        throw TransportError("connection truncated mid-frame");
-    }
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    obs::FlightRecorder::emit(obs::EventType::kFrameRecv, total,
-                              cdr::frame_band(frame.data()));
-    return frame;
+    set_corked(false);
+    return open;
 }
 
 void TcpTransport::close() {
@@ -290,11 +288,9 @@ bool TcpTransport::flush_pending_writes() {
     return !want_writable;
 }
 
-void TcpTransport::note_frame_received() noexcept {
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    obs::FlightRecorder::emit(obs::EventType::kFrameRecv, 0, 0);
-}
-
+/// Bracket one read pump: while corked, send_frame enqueues without
+/// flushing (unless the intake fills, to keep the backpressure contract),
+/// so every reply the pump's callbacks produce leaves in one flush here.
 void TcpTransport::set_corked(bool on) {
     std::unique_lock lk(mu_);
     corked_ = on;
@@ -311,47 +307,82 @@ void TcpTransport::set_corked(bool on) {
     if (want_writable && request_writable_) request_writable_();
 }
 
-/// Buffered read_exact: drains the recv staging buffer first and
-/// refills it with single read() calls sized to the whole buffer, so a
-/// burst of queued frames costs ~one syscall instead of two per frame.
-/// Remainders at least a buffer long bypass staging and land directly
-/// in the caller's storage (no copy for large bodies). Same contract
-/// as read_exact: false on orderly EOF at a frame boundary, throws on
-/// truncation or error. Reader-thread only, like recv_frame itself.
-bool TcpTransport::buffered_read(std::uint8_t* dst, std::size_t n) {
-    std::size_t got = 0;
-    while (got < n) {
-        const std::size_t have = rlen_ - rpos_;
-        if (have > 0) {
-            const std::size_t take = have < n - got ? have : n - got;
-            std::memcpy(dst + got, rbuf_.data() + rpos_, take);
-            rpos_ += take;
-            got += take;
-            continue;
+/// Cut the next complete frame out of the read-ahead bytes; nullopt when
+/// more bytes are needed. The max-frame bound is checked before the frame
+/// is drawn from the pool, so a corrupt or hostile header cannot drive an
+/// unbounded allocation. Throws TransportError on a corrupt or oversize
+/// header: the stream cannot be trusted past either.
+std::optional<FrameBuffer> TcpTransport::take_frame() {
+    constexpr std::size_t kHeader = cdr::GiopHeader::kSize;
+    if (frame_total_ == 0) {
+        if (rlen_ - rpos_ < kHeader) return std::nullopt;
+        const std::uint8_t* head = rbuf_.data() + rpos_;
+        std::size_t total = kHeader;
+        try {
+            total += cdr::decode_header(head, kHeader).message_size;
+        } catch (const cdr::MarshalError& e) {
+            throw TransportError(std::string("corrupt GIOP header: ") +
+                                 e.what());
         }
-        // Lazily sized: reactor-managed transports never stage here.
-        if (rbuf_.empty()) rbuf_.resize(kRecvScratchBytes);
-        if (n - got >= rbuf_.size()) {
-            if (!read_exact(fd_, dst + got, n - got)) {
-                if (got == 0) return false;
-                throw TransportError("connection truncated mid-frame");
-            }
-            return true;
+        if (total > opts_.max_frame_bytes) {
+            throw TransportError(
+                "GIOP frame of " + std::to_string(total) +
+                " bytes exceeds the max-frame limit (" +
+                std::to_string(opts_.max_frame_bytes) + ")");
         }
-        rpos_ = 0;
-        rlen_ = 0;
-        const ssize_t r = ::read(fd_, rbuf_.data(), rbuf_.size());
-        if (r == 0) {
-            if (got == 0) return false;
-            throw TransportError("connection truncated mid-frame");
-        }
-        if (r < 0) {
-            if (errno == EINTR) continue;
-            fail_errno("read");
-        }
-        rlen_ = static_cast<std::size_t>(r);
+        frame_ = pool_->acquire(total);
+        std::memcpy(frame_.data(), head, kHeader);
+        rpos_ += kHeader;
+        frame_got_ = kHeader;
+        frame_total_ = total;
     }
-    return true;
+    const std::size_t take =
+        std::min(frame_total_ - frame_got_, rlen_ - rpos_);
+    if (take > 0) {
+        std::memcpy(frame_.data() + frame_got_, rbuf_.data() + rpos_, take);
+        rpos_ += take;
+        frame_got_ += take;
+    }
+    if (frame_got_ < frame_total_) return std::nullopt;
+    frame_total_ = 0;
+    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::emit(obs::EventType::kFrameRecv, frame_got_,
+                              cdr::frame_band(frame_.data()));
+    return std::move(frame_);
+}
+
+/// One read() once take_frame has consumed what it can: straight into
+/// the pending frame when at least a buffer-full of body remains (no copy
+/// for large bodies), else into the read-ahead buffer behind the partial
+/// header still there. `want` is the size asked for. Returns the bytes
+/// read (0 on EOF), or -1 when a non-blocking socket has none; throws
+/// TransportError on a read error.
+ssize_t TcpTransport::fill(std::size_t& want) {
+    if (rbuf_.empty()) rbuf_.resize(kReadAheadBytes);
+    const bool direct =
+        frame_total_ != 0 && frame_total_ - frame_got_ >= rbuf_.size();
+    std::uint8_t* dst = nullptr;
+    if (direct) {
+        dst = frame_.data() + frame_got_;
+        want = frame_total_ - frame_got_;
+    } else {
+        const std::size_t have = rlen_ - rpos_;
+        if (have > 0) std::memmove(rbuf_.data(), rbuf_.data() + rpos_, have);
+        rpos_ = 0;
+        rlen_ = have;
+        dst = rbuf_.data() + have;
+        want = rbuf_.size() - have;
+    }
+    for (;;) {
+        const ssize_t r = ::read(fd_, dst, want);
+        if (r >= 0) {
+            (direct ? frame_got_ : rlen_) += static_cast<std::size_t>(r);
+            return r;
+        }
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
+        fail_errno("read");
+    }
 }
 
 void TcpTransport::throw_if_unwritable() {

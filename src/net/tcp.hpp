@@ -7,6 +7,15 @@
 // request/reply traffic at message sizes of 32-1024 B would otherwise
 // serialize behind Nagle.
 //
+// Each wire has one frame assembler: a 16 KiB read-ahead buffer and one
+// header/body state machine. Small frames are cut out of the buffer (a
+// burst of queued replies costs one read() rather than two per frame);
+// a body with at least a buffer-full outstanding is read straight into
+// its pooled frame. Two drivers share the assembler: the blocking
+// recv_frame, and the reactor's pump_frames. Bytes the first read ahead
+// stay in the buffer when the wire moves to a reactor, and the reactor
+// pumps once at registration, so no frame is lost in the handoff.
+//
 // Every wire has one writer: the coalescing drain. Senders enqueue into a
 // bounded intake ring; whichever thread finds no writer active drains the
 // ring with scatter-gather sendmsg calls (up to 16 iovecs per flush, so
@@ -21,10 +30,11 @@
 // Reactor mode (net/reactor.hpp): TcpTransport is the only wire an epoll
 // loop drives, so the reactor calls its reactor-surface methods directly
 // (ReactorHook in net/transport.hpp is an alias of this class, not an
-// interface). The loop owns the read direction (recv_frame then throws)
-// and resumes EAGAIN-parked batches on EPOLLOUT. Entering reactor mode
-// sets O_NONBLOCK; a batch the socket will not take parks in the writer's
-// staging area until the loop resumes it.
+// interface). The loop owns the read direction (recv_frame then throws),
+// pumps frames on read readiness and resumes EAGAIN-parked batches on
+// EPOLLOUT. Entering reactor mode sets O_NONBLOCK; a batch the socket
+// will not take parks in the writer's staging area until the loop
+// resumes it.
 #pragma once
 
 #include "net/transport.hpp"
@@ -88,7 +98,7 @@ public:
 
     /// Switch into non-blocking reactor mode. The descriptor is set
     /// O_NONBLOCK; recv_frame() becomes invalid (the reactor owns the read
-    /// direction and assembles frames itself); send_frame keeps its
+    /// direction and drives pump_frames); send_frame keeps its
     /// blocking-backpressure contract but, instead of blocking in sendmsg
     /// when the socket backs up, parks the unwritten output and invokes
     /// `request_writable` (from any thread) so the reactor arms EPOLLOUT
@@ -102,20 +112,21 @@ public:
     /// own EAGAIN.
     bool flush_pending_writes();
 
-    /// Upper bound on header + body the reactor's frame assembly accepts
-    /// (mirrors recv_frame's own bound).
-    std::size_t max_frame_bytes() const noexcept {
-        return opts_.max_frame_bytes;
-    }
-
-    /// Account a reactor-assembled frame in stats().
-    void note_frame_received() noexcept;
-
-    /// Reactor-thread hint bracketing one read pump: while corked,
-    /// send_frame enqueues without flushing (unless the intake fills, to
-    /// preserve the backpressure contract), so every reply a pump's frame
-    /// callbacks produce leaves in one scatter-gather flush at uncork.
-    void set_corked(bool on);
+    /// Reactor-thread read pump on read readiness (and once at
+    /// registration, for bytes a blocking recv_frame read ahead): hand
+    /// every complete frame to `on_frame` until the socket drains. The
+    /// writer is corked for the pump, so the replies its callbacks send
+    /// leave in one scatter-gather flush. A short read means the kernel
+    /// buffer is drained (epoll(7)) and ends the pump without a final
+    /// EAGAIN read; `peer_closed` (the event carried RDHUP/ERR/HUP)
+    /// disables that exit, since a FIN queued behind the data raises no
+    /// further edge. Each read() that returns bytes counts in `reads`,
+    /// and each frame in `frames` before `on_frame` sees it. Returns false
+    /// when the wire must close: EOF (also mid-frame), a read error, a
+    /// corrupt or oversize header, or a throwing handler.
+    bool pump_frames(const std::function<void(FrameBuffer)>& on_frame,
+                     bool peer_closed, std::atomic<std::uint64_t>& frames,
+                     std::atomic<std::uint64_t>& reads);
 
 private:
     enum class WriteOutcome { kDone, kAgain, kError };
@@ -123,7 +134,9 @@ private:
     // Helpers of the send and receive paths, defined in tcp.cpp (their
     // only caller). The small ones are inline so the compiler can fold
     // them into the per-frame send path instead of calling them.
-    bool buffered_read(std::uint8_t* dst, std::size_t n);
+    std::optional<FrameBuffer> take_frame();
+    ssize_t fill(std::size_t& want);
+    void set_corked(bool on);
     inline void throw_if_unwritable();
     inline void enqueue(FrameBuffer frame);
     inline FrameBuffer dequeue();
@@ -154,10 +167,19 @@ private:
     // Reactor read-pump cork: replies staged in the intake flush together
     // at uncork instead of one sendmsg each (set_corked).
     bool corked_ = false;
-    // recv_frame staging (reader thread only, untouched in reactor mode).
+
+    // Frame assembler, touched by one reader at a time: the recv_frame
+    // thread, then (after registration hands it over through the loop's
+    // command queue) the reactor loop. Read-ahead bytes are
+    // rbuf_[rpos_, rlen_); frame_total_ == 0 means a header is awaited,
+    // otherwise frame_ holds frame_got_ of its frame_total_ bytes.
     std::vector<std::uint8_t> rbuf_;
     std::size_t rpos_ = 0;
     std::size_t rlen_ = 0;
+    FrameBuffer frame_;
+    std::size_t frame_got_ = 0;
+    std::size_t frame_total_ = 0;
+
     int send_errno_ = 0;
     std::atomic<bool> nonblocking_{false};
     std::function<void()> request_writable_;

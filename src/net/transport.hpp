@@ -6,7 +6,10 @@
 // a real TCP transport (GIOP-aware framing, net/tcp.hpp) for distributed
 // use, and a shared-memory wire for co-located peers
 // (net/shm_transport.hpp). Each implements Transport directly; only the
-// TCP wire is also driven by the epoll reactor (ReactorHook below).
+// TCP wire is also driven by the epoll reactor (ReactorHook below). A TCP
+// wire owns its one GIOP frame assembler, which both its blocking
+// recv_frame and the reactor's read pump drive, so a wire read for a
+// handshake and then handed to a reactor loses no read-ahead frame.
 //
 // Frames travel as pooled FrameBuffers (net/frame_pool.hpp): a steady-state
 // send or receive recycles storage instead of allocating it. The
@@ -107,9 +110,10 @@ public:
     /// Default no-op; close() alone keeps its full contract.
     virtual void prepare_close() {}
 
-    /// Pool this transport draws inbound frame storage from (the reactor
-    /// assembles a TCP wire's inbound frames into it too). Lane wires
-    /// return their per-lane pool so bands never share a pool ring.
+    /// Pool this transport draws inbound frame storage from (a TCP wire
+    /// assembles into it whichever driver reads it, blocking or reactor).
+    /// Lane wires return their per-lane pool so bands never share a pool
+    /// ring.
     virtual FrameBufferPool& frame_pool() noexcept {
         return FrameBufferPool::global();
     }

@@ -3,12 +3,15 @@
 #include "cdr/giop.hpp"
 #include "net/frame_pool.hpp"
 #include "net/lane_group.hpp"
+#include "net/reactor.hpp"
 #include "net/tcp.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -169,13 +172,18 @@ TEST(LaneGroup, StrayConnectionDoesNotPoisonTheAcceptor) {
     std::unique_ptr<net::LaneGroup> server;
     std::thread accept_thread([&] { server = acceptor.accept(); });
 
-    // A connection that dies before sending any hello is skipped.
+    // A connection that dies before sending any hello is skipped; one
+    // whose first frame is not a lane hello is refused and counted.
     net::tcp_connect("127.0.0.1", acceptor.bound_port())->close();
+    auto stray = net::tcp_connect("127.0.0.1", acceptor.bound_port());
+    stray->send_frame(make_frame(7, 16, 0));
 
     auto client = net::lane_connect("127.0.0.1", acceptor.bound_port());
     accept_thread.join();
     ASSERT_NE(server, nullptr);
     EXPECT_EQ(server->group_id(), client->group_id());
+    EXPECT_EQ(acceptor.handshakes_refused(), 1u);
+    stray->close();
     client->close();
     server->close();
 }
@@ -296,4 +304,43 @@ TEST(LaneGroup, StatsSumAcrossLanes) {
     EXPECT_EQ(pair.server->stats().frames_received, 4u);
     pair.client->close();
     pair.server->close();
+}
+
+TEST(LaneGroup, FramesSentBeforeAcceptReachTheReactor) {
+    // lane_connect sends its hellos without waiting for a reply, so a
+    // client may stream frames before the server accepts. Reading lane 1's
+    // hello then reads those frames ahead into the lane's buffer; the
+    // reactor the lanes are handed to must still deliver every one.
+    net::LaneAcceptor acceptor(0);
+    auto client = net::lane_connect("127.0.0.1", acceptor.bound_port());
+    constexpr std::uint32_t kFrames = 50;
+    for (std::uint32_t i = 0; i < kFrames; ++i) {
+        client->send_frame(make_frame(i, 32, 1));
+    }
+    auto server = acceptor.accept();
+    ASSERT_NE(server, nullptr);
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<std::uint32_t> ids;
+    net::Reactor reactor(net::ReactorOptions{1});
+    for (std::size_t lane = 0; lane < server->lane_count(); ++lane) {
+        reactor.register_wire(server->lane(lane), [&](net::FrameBuffer f) {
+            const std::uint32_t id =
+                cdr::decode_request(f.data(), f.size()).header.request_id;
+            std::lock_guard<std::mutex> lk(mu);
+            ids.push_back(id);
+            cv.notify_all();
+        });
+    }
+    {
+        std::unique_lock<std::mutex> lk(mu);
+        EXPECT_TRUE(cv.wait_for(lk, std::chrono::seconds(5),
+                                [&] { return ids.size() >= kFrames; }))
+            << ids.size() << " of " << kFrames << " frames arrived";
+        for (std::uint32_t i = 0; i < ids.size(); ++i) EXPECT_EQ(ids[i], i);
+    }
+    reactor.stop();
+    client->close();
+    server->close();
 }

@@ -23,6 +23,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <mutex>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -67,19 +68,25 @@ int raw_connect(std::uint16_t port) {
     return fd;
 }
 
-/// Counts frames delivered by the reactor and wakes waiters.
+/// Counts frames delivered by the reactor and wakes waiters; with
+/// `keep` set it also copies out every frame's bytes, in arrival order.
 struct FrameSink {
     std::mutex mu;
     std::condition_variable cv;
     std::size_t frames = 0;
     std::size_t bytes = 0;
     bool closed = false;
+    bool keep = false;
+    std::vector<std::vector<std::uint8_t>> kept;
 
     net::Reactor::FrameHandler on_frame() {
         return [this](net::FrameBuffer frame) {
             std::lock_guard<std::mutex> lk(mu);
             ++frames;
             bytes += frame.size();
+            if (keep) {
+                kept.emplace_back(frame.data(), frame.data() + frame.size());
+            }
             cv.notify_all();
         };
     }
@@ -561,4 +568,178 @@ TEST(Reactor, LoopbackTransportHasNoHook) {
     FrameSink sink;
     EXPECT_THROW(reactor.register_wire(*a, sink.on_frame()),
                  net::TransportError);
+}
+
+TEST(Reactor, FramesReadAheadByBlockingRecvSurviveRegistration) {
+    // One burst of 1 + N frames: the blocking recv_frame of the first
+    // reads the other N ahead into the wire's buffer, so the socket holds
+    // nothing and no epoll edge will announce them. Registration must
+    // still deliver all N, in order.
+    net::TcpAcceptor acceptor(0);
+    std::unique_ptr<net::Transport> server_side;
+    std::thread accept_thread([&] { server_side = acceptor.accept(); });
+    const int fd = raw_connect(acceptor.bound_port());
+    accept_thread.join();
+
+    constexpr std::uint32_t kAhead = 20;
+    std::vector<std::vector<std::uint8_t>> frames;
+    std::vector<std::uint8_t> burst;
+    for (std::uint32_t id = 0; id <= kAhead; ++id) {
+        frames.push_back(make_frame(id, 64));
+        burst.insert(burst.end(), frames.back().begin(), frames.back().end());
+    }
+    ASSERT_EQ(::write(fd, burst.data(), burst.size()),
+              static_cast<ssize_t>(burst.size()));
+
+    auto first = server_side->recv_frame();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(std::vector<std::uint8_t>(first->data(),
+                                        first->data() + first->size()),
+              frames[0]);
+
+    net::Reactor reactor(net::ReactorOptions{1});
+    FrameSink sink;
+    sink.keep = true;
+    reactor.register_wire(*server_side, sink.on_frame(), sink.on_closed());
+    ASSERT_TRUE(sink.wait_frames(kAhead, std::chrono::seconds(5)))
+        << sink.frames << " of " << kAhead << " read-ahead frames arrived";
+    {
+        std::lock_guard<std::mutex> lk(sink.mu);
+        EXPECT_EQ(sink.kept,
+                  std::vector<std::vector<std::uint8_t>>(frames.begin() + 1,
+                                                         frames.end()));
+    }
+    EXPECT_EQ(reactor.stats().frames_assembled, kAhead);
+    EXPECT_EQ(server_side->stats().frames_received, kAhead + 1u);
+    reactor.stop();
+    ::close(fd);
+}
+
+namespace {
+
+/// Seeded stream for the chunk-split test: GIOP frames whose bodies run
+/// from 0 bytes through sizes just under, at and over the 16 KiB
+/// read-ahead buffer (and twice it), with random content and band bits,
+/// plus the chunk sizes the stream is written in.
+struct SplitStream {
+    std::vector<std::vector<std::uint8_t>> frames;
+    std::vector<std::uint8_t> bytes;
+    std::vector<std::size_t> chunks;
+
+    explicit SplitStream(std::uint32_t seed) {
+        constexpr std::size_t kAhead = 16 * 1024;
+        constexpr std::size_t kHeader = cdr::GiopHeader::kSize;
+        std::mt19937 rng(seed);
+        std::vector<std::size_t> bodies = {
+            0, 1, 11, 12, 13, 100,
+            kAhead - kHeader - 1, kAhead - kHeader, kAhead - kHeader + 1,
+            kAhead - 1, kAhead, kAhead + 1, 2 * kAhead + 7};
+        for (int i = 0; i < 24; ++i) bodies.push_back(rng() % (3 * kAhead));
+        std::shuffle(bodies.begin(), bodies.end(), rng);
+        for (std::size_t i = 0; i < bodies.size(); ++i) {
+            std::vector<std::uint8_t> f(kHeader + bodies[i]);
+            std::memcpy(f.data(), cdr::GiopHeader::kMagic, 4);
+            f[4] = 1;
+            f[5] = 0;
+            f[cdr::GiopHeader::kFlagsOffset] =
+                static_cast<std::uint8_t>(cdr::native_order());
+            f[7] = static_cast<std::uint8_t>(cdr::GiopMsgType::kRequest);
+            const auto size = static_cast<std::uint32_t>(bodies[i]);
+            std::memcpy(f.data() + 8, &size, sizeof size);
+            cdr::set_frame_band(f.data(), static_cast<std::uint8_t>(i % 8));
+            for (std::size_t b = kHeader; b < f.size(); ++b) {
+                f[b] = static_cast<std::uint8_t>(rng());
+            }
+            bytes.insert(bytes.end(), f.begin(), f.end());
+            frames.push_back(std::move(f));
+        }
+        // A corrupt header after the last frame: bad magic.
+        const std::uint8_t corrupt[kHeader] = {'G', 'I', 'O', 'X', 1, 0,
+                                               0,   0,   0,   0,   0, 0};
+        bytes.insert(bytes.end(), corrupt, corrupt + kHeader);
+        for (std::size_t at = 0; at < bytes.size();) {
+            // Mostly short chunks that split headers and bodies, some
+            // larger than the read-ahead buffer.
+            const std::size_t n = rng() % 4 == 0 ? 1 + rng() % (2 * kAhead)
+                                                 : 1 + rng() % 64;
+            chunks.push_back(std::min(n, bytes.size() - at));
+            at += chunks.back();
+        }
+    }
+
+    /// Write the stream to `fd` chunk by chunk, yielding now and then so
+    /// the reader sees the chunks at varying boundaries.
+    void write_to(int fd) const {
+        std::size_t at = 0;
+        for (std::size_t i = 0; i < chunks.size(); ++i) {
+            ASSERT_EQ(::send(fd, bytes.data() + at, chunks[i], MSG_NOSIGNAL),
+                      static_cast<ssize_t>(chunks[i]));
+            at += chunks[i];
+            if (i % 16 == 0) std::this_thread::yield();
+        }
+    }
+};
+
+} // namespace
+
+TEST(FrameAssembly, SeededChunkSplitsYieldIdenticalFramesOnBothDrivers) {
+    // The wire's one frame assembler, driven both ways over the same
+    // seeded stream: blocking recv_frame and the reactor's pump must cut
+    // out byte-identical frames in order, and both must fail closed on
+    // the corrupt header that ends the stream. Short tier-1 budget: a
+    // few seeds; the seed is in every failure message.
+    constexpr std::uint32_t kSeeds = 3;
+    for (std::uint32_t seed = 1; seed <= kSeeds; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const SplitStream stream(seed);
+        const std::size_t n = stream.frames.size();
+        net::TcpAcceptor acceptor(0);
+
+        {   // Blocking driver.
+            std::unique_ptr<net::Transport> server_side;
+            std::thread accept_thread([&] { server_side = acceptor.accept(); });
+            const int fd = raw_connect(acceptor.bound_port());
+            accept_thread.join();
+            std::thread writer([&] { stream.write_to(fd); });
+            std::vector<std::vector<std::uint8_t>> got;
+            for (std::size_t i = 0; i < n; ++i) {
+                auto f = server_side->recv_frame();
+                if (!f) break; // the comparison below reports the loss
+                got.emplace_back(f->data(), f->data() + f->size());
+            }
+            if (got.size() == n) {
+                EXPECT_THROW(server_side->recv_frame(), net::TransportError);
+            }
+            server_side->close(); // a writer stuck on a failed read ends
+            writer.join();
+            EXPECT_EQ(got, stream.frames);
+            EXPECT_EQ(server_side->stats().frames_received, n);
+            ::close(fd);
+        }
+
+        {   // Reactor driver.
+            std::unique_ptr<net::Transport> server_side;
+            std::thread accept_thread([&] { server_side = acceptor.accept(); });
+            const int fd = raw_connect(acceptor.bound_port());
+            accept_thread.join();
+            net::Reactor reactor(net::ReactorOptions{1});
+            FrameSink sink;
+            sink.keep = true;
+            reactor.register_wire(*server_side, sink.on_frame(),
+                                  sink.on_closed());
+            std::thread writer([&] { stream.write_to(fd); });
+            writer.join();
+            ASSERT_TRUE(sink.wait_closed());
+            {
+                std::lock_guard<std::mutex> lk(sink.mu);
+                EXPECT_EQ(sink.kept, stream.frames);
+            }
+            const net::ReactorStats rs = reactor.stats();
+            EXPECT_EQ(rs.frames_assembled, n);
+            EXPECT_EQ(rs.wires_closed, 1u);
+            EXPECT_EQ(server_side->stats().frames_received, n);
+            reactor.stop();
+            ::close(fd);
+        }
+    }
 }

@@ -260,6 +260,7 @@ TEST(ShmHandshake, NacksSegmentNameOutsideThePrefixBeforeOpeningIt) {
 
         EXPECT_FALSE(reply.ok);
         EXPECT_FALSE(server.shm);
+        EXPECT_EQ(acceptor.handshakes_refused(), 1u);
         EXPECT_NE(server.detail.find("hello names a segment outside"),
                   std::string::npos)
             << server.detail;
