@@ -2,9 +2,11 @@
 
 #include "cdr/giop.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 namespace compadres::net {
@@ -16,6 +18,11 @@ namespace {
 /// "compadres.bridge" route traffic.
 constexpr const char* kLaneObjectKey = "compadres.lane";
 constexpr const char* kLaneHelloOp = "hello";
+
+/// Most lane groups an acceptor holds half-assembled. Each one keeps its
+/// open connections until its last lane arrives, so without a cap a peer
+/// that opens groups it never completes exhausts descriptors.
+constexpr std::size_t kMaxPendingGroups = 64;
 
 std::uint64_t next_group_id() noexcept {
     static std::atomic<std::uint64_t> counter{0};
@@ -262,7 +269,17 @@ std::unique_ptr<LaneGroup> lane_connect(const std::string& host,
 }
 
 LaneAcceptor::LaneAcceptor(std::uint16_t port, const LaneGroupOptions& options)
-    : acceptor_(port, options.tcp), options_(options) {}
+    : acceptor_(port, options.tcp), options_(options),
+      metrics_source_(obs::MetricsRegistry::global().add_source(
+          "net_lane_acceptor_" + std::to_string(acceptor_.bound_port()),
+          [this] {
+              return std::vector<obs::SourceSample>{
+                  {"handshakes_refused", handshakes_refused()}};
+          })) {}
+
+LaneAcceptor::~LaneAcceptor() {
+    obs::MetricsRegistry::global().remove_source(metrics_source_);
+}
 
 std::unique_ptr<LaneGroup> LaneAcceptor::accept() {
     for (;;) {
@@ -277,8 +294,12 @@ std::unique_ptr<LaneGroup> LaneAcceptor::accept() {
             refused_.fetch_add(1, std::memory_order_relaxed);
             continue; // not a lane client; drop the connection
         }
-        PendingGroup& group = pending_[hello.group_id];
-        if (group.lanes.empty()) group.lanes.resize(hello.lane_count);
+        auto [slot, fresh] = pending_.try_emplace(hello.group_id);
+        PendingGroup& group = slot->second;
+        if (fresh) {
+            group.lanes.resize(hello.lane_count);
+            group.opened = groups_opened_++;
+        }
         if (hello.lane_count != group.lanes.size() ||
             group.lanes[hello.lane_index] != nullptr) {
             pending_.erase(hello.group_id); // inconsistent peer: start over
@@ -286,7 +307,21 @@ std::unique_ptr<LaneGroup> LaneAcceptor::accept() {
             continue;
         }
         group.lanes[hello.lane_index] = std::move(conn);
-        if (++group.present < group.lanes.size()) continue;
+        if (++group.present < group.lanes.size()) {
+            if (pending_.size() > kMaxPendingGroups) {
+                // Drop the oldest half-assembled group (never this newest
+                // one), refusing each of its connections.
+                auto oldest = std::min_element(
+                    pending_.begin(), pending_.end(),
+                    [](const auto& a, const auto& b) {
+                        return a.second.opened < b.second.opened;
+                    });
+                refused_.fetch_add(oldest->second.present,
+                                   std::memory_order_relaxed);
+                pending_.erase(oldest);
+            }
+            continue;
+        }
 
         std::vector<std::unique_ptr<Transport>> lanes =
             std::move(group.lanes);

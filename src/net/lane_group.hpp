@@ -180,8 +180,11 @@ public:
     /// `options.bands` is advisory here — the accepted group's width
     /// comes from the client's hello (capped at kMaxLanes); pool and TCP
     /// options apply to every accepted lane.
+    /// Registers handshakes_refused() on obs::MetricsRegistry::global()
+    /// as net_lane_acceptor_<port>_handshakes_refused until destroyed.
     explicit LaneAcceptor(std::uint16_t port,
                           const LaneGroupOptions& options = {});
+    ~LaneAcceptor();
 
     std::uint16_t bound_port() const noexcept { return acceptor_.bound_port(); }
 
@@ -190,8 +193,10 @@ public:
     std::unique_ptr<LaneGroup> accept();
 
     /// Connections dropped for a bad handshake: a first frame that does
-    /// not read as a lane hello, or a hello that contradicts its group's
-    /// earlier lanes. A peer that closes before any hello is not counted.
+    /// not read as a lane hello, a hello that contradicts its group's
+    /// earlier lanes, or a lane of the oldest half-assembled group when a
+    /// new group would exceed the pending cap. A peer that closes before
+    /// any hello is not counted.
     std::uint64_t handshakes_refused() const noexcept {
         return refused_.load(std::memory_order_relaxed);
     }
@@ -202,12 +207,15 @@ private:
     struct PendingGroup {
         std::vector<std::unique_ptr<Transport>> lanes;
         std::size_t present = 0;
+        std::uint64_t opened = 0; ///< arrival order among groups
     };
 
     TcpAcceptor acceptor_;
     LaneGroupOptions options_;
     std::map<std::uint64_t, PendingGroup> pending_;
+    std::uint64_t groups_opened_ = 0;
     std::atomic<std::uint64_t> refused_{0};
+    std::uint64_t metrics_source_;
 };
 
 } // namespace compadres::net

@@ -3,6 +3,7 @@
 #include "cdr/giop.hpp"
 #include "net/lane_group.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/metrics.hpp"
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -15,7 +16,9 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -46,7 +49,10 @@ void futex_wait_us(std::atomic<std::uint32_t>& word, std::uint32_t expected,
             expected, &ts, nullptr, 0);
 }
 
+/// Advance the futex word, so a waiter about to sleep on the old value
+/// returns at once, and wake every waiter already asleep on it.
 void futex_wake_all(std::atomic<std::uint32_t>& word) {
+    word.fetch_add(1, std::memory_order_release);
     syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(&word), FUTEX_WAKE,
             INT_MAX, nullptr, nullptr, 0);
 }
@@ -69,36 +75,30 @@ std::uint64_t mint_generation() noexcept {
            counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::size_t round_up_pow2(std::size_t n) noexcept {
-    std::size_t p = 1;
-    while (p < n) p <<= 1;
-    return p;
-}
-
-/// Clamp options into a self-consistent geometry (pow2 ring, arena big
-/// enough that the largest frame plus a wrap skip always fits).
+/// Clamp options into the geometry ShmRingGeometry::valid() accepts (a
+/// power-of-two ring, an arena big enough that the largest frame plus a
+/// wrap skip always fits), and into the band count a segment carries.
 ShmOptions normalize(ShmOptions o) {
-    o.ring_capacity = round_up_pow2(o.ring_capacity ? o.ring_capacity : 2);
-    if (o.ring_capacity < 2) o.ring_capacity = 2;
-    // Bounded so a slot index always fits the 24 bits a borrowed frame's
-    // release token reserves for it (the band takes the top 8).
-    if (o.ring_capacity > (1u << 20)) o.ring_capacity = 1u << 20;
-    if (o.arena_bytes < 4096) o.arena_bytes = 4096;
-    o.arena_bytes = align8(o.arena_bytes);
-    if (o.max_frame_bytes > o.arena_bytes / 2) {
-        o.max_frame_bytes = o.arena_bytes / 2;
-    }
-    if (o.max_frame_bytes < 64) o.max_frame_bytes = 64;
-    if (o.bands < 1) o.bands = 1;
-    if (o.bands > shm_detail::kMaxShmBands) o.bands = shm_detail::kMaxShmBands;
-    if (o.max_pinned_slots == 0) o.max_pinned_slots = o.ring_capacity / 2;
+    using G = ShmRingGeometry;
+    o.ring_capacity = std::bit_ceil(std::clamp<std::size_t>(
+        o.ring_capacity, G::kMinCapacity, G::kMaxCapacity));
+    o.arena_bytes = align8(std::max<std::size_t>(o.arena_bytes, G::kMinArenaBytes));
+    o.max_frame_bytes = std::clamp<std::size_t>(
+        o.max_frame_bytes, G::kMinFrameBytes, o.arena_bytes / 2);
+    o.bands = std::clamp<std::size_t>(o.bands, 1, shm_detail::kMaxShmBands);
     // Strictly below capacity: at pinned == capacity the slot index
     // (head & mask) of the next pop would collide with an unreleased
-    // slot's bitmap bit.
-    if (o.max_pinned_slots > o.ring_capacity - 1) {
-        o.max_pinned_slots = o.ring_capacity - 1;
-    }
+    // slot's released flag.
+    if (o.max_pinned_slots == 0) o.max_pinned_slots = o.ring_capacity / 2;
+    o.max_pinned_slots =
+        std::min<std::size_t>(o.max_pinned_slots, o.ring_capacity - 1);
     return o;
+}
+
+/// The one geometry rule for a segment: ShmSegment::create holds its
+/// clamped options to it, and ShmSegment::attach the peer's header.
+bool segment_geometry_ok(std::size_t bands, const ShmRingGeometry& g) {
+    return bands >= 1 && bands <= shm_detail::kMaxShmBands && g.valid();
 }
 
 bool pid_alive(pid_t pid) noexcept {
@@ -111,6 +111,25 @@ void sweep_once_at_startup() {
 }
 
 constexpr const char* kControlKey = "compadres.shm";
+
+/// Consumer pause-spins before registering as a futex waiter. Kept small:
+/// on a single-core host the producer cannot run while the consumer
+/// spins, so a long spin only burns the quantum.
+constexpr std::size_t kSpinBudget = 64;
+
+bool is_control_bye(const FrameBuffer& f) noexcept {
+    try {
+        if (f.size() < cdr::GiopHeader::kSize) return false;
+        const cdr::GiopHeader h = cdr::decode_header(f.data(), f.size());
+        if (h.msg_type != cdr::GiopMsgType::kRequest) return false;
+        const cdr::DecodedRequestView v =
+            cdr::decode_request_view(f.data(), f.size());
+        return v.header.object_key == kControlKey &&
+               v.header.operation == "bye";
+    } catch (...) {
+        return false;
+    }
+}
 
 /// The creator's segment-name buffer, NUL included: no segment this code
 /// creates has a name of kNameBufBytes or more.
@@ -133,6 +152,12 @@ bool creatable_segment_name(const std::string& name) {
 std::shared_ptr<ShmSegment> ShmSegment::create(const ShmOptions& options) {
     sweep_once_at_startup();
     const ShmOptions o = normalize(options);
+    const ShmRingGeometry g{static_cast<std::uint32_t>(o.ring_capacity),
+                           static_cast<std::uint32_t>(o.arena_bytes),
+                           static_cast<std::uint32_t>(o.max_frame_bytes)};
+    if (!segment_geometry_ok(o.bands, g)) {
+        throw TransportError("shm options outside the segment geometry");
+    }
     static std::atomic<std::uint32_t> seq{0};
 
     auto seg = std::shared_ptr<ShmSegment>(new ShmSegment());
@@ -174,9 +199,9 @@ std::shared_ptr<ShmSegment> ShmSegment::create(const ShmOptions& options) {
     auto* h = new (base) SegHeader{};
     std::memcpy(h->magic, shm_detail::kMagic, sizeof h->magic);
     h->version = shm_detail::kVersion;
-    h->ring_capacity = static_cast<std::uint32_t>(o.ring_capacity);
-    h->arena_bytes = static_cast<std::uint32_t>(o.arena_bytes);
-    h->max_frame_bytes = static_cast<std::uint32_t>(o.max_frame_bytes);
+    h->ring_capacity = g.capacity;
+    h->arena_bytes = g.arena_bytes;
+    h->max_frame_bytes = g.max_frame;
     h->bands = static_cast<std::uint32_t>(o.bands);
     h->generation = mint_generation();
     new (seg->base_ + shm_detail::dirs_offset()) SegDir[2 * o.bands]{};
@@ -225,16 +250,13 @@ std::shared_ptr<ShmSegment> ShmSegment::attach(const std::string& name,
                              std::to_string(h.version) + ", expected v" +
                              std::to_string(shm_detail::kVersion));
     }
-    // The peer wrote this header: hold it to the bounds normalize() gives
-    // the creator. A zero arena would divide by zero at the first send,
-    // and a frame bound past half the arena could wait forever for space.
-    if (h.bands < 1 || h.bands > shm_detail::kMaxShmBands ||
+    // The peer wrote this header: hold it to the rule create() holds its
+    // own options to.
+    if (!segment_geometry_ok(h.bands, ShmRingGeometry{h.ring_capacity,
+                                                      h.arena_bytes,
+                                                      h.max_frame_bytes}) ||
         shm_detail::segment_bytes(h.bands, h.ring_capacity, h.arena_bytes) !=
-            total ||
-        (h.ring_capacity & (h.ring_capacity - 1)) != 0 ||
-        h.ring_capacity < 2 || h.ring_capacity > (1u << 20) ||
-        h.arena_bytes < 4096 || h.arena_bytes % 8 != 0 ||
-        h.max_frame_bytes < 64 || h.max_frame_bytes > h.arena_bytes / 2) {
+            total) {
         throw TransportError("shm segment geometry corrupt: " + name);
     }
     if (h.generation != generation) {
@@ -291,1019 +313,581 @@ void ShmSegment::unlink() noexcept {
     }
 }
 
-// ---- ShmSession -----------------------------------------------------------
-
-namespace {
-
-/// Result of one bounded receive attempt on the session. Exactly one of:
-/// frame set; closed true; neither (idle — the ring waited its bounded
-/// interval without data, so ShmTransport::recv_frame runs idle_poll
-/// before retrying).
-struct RingRecv {
-    std::optional<FrameBuffer> frame;
-    bool closed = false;
-
-    static RingRecv ended() {
-        RingRecv r;
-        r.closed = true;
-        return r;
-    }
-};
-
-} // namespace
-
-/// The engine behind ShmTransport: per-band SPSC ring producer/consumer
-/// over the segment, plus the TCP control/fallback channel and the
-/// failover state machine.
-///
-/// Locking. Producers serialize per band (TxBand::mu), so a bulk band
-/// parked in a space wait never stalls an urgent send. send_mu_ guards
-/// the failover state machine (bye in either direction, peer death,
-/// close) and TCP fallback ordering; a state transition takes send_mu_
-/// first, then every band mutex in index order — never the reverse, so a
-/// producer holding its band mutex must not take send_mu_ (failure
-/// handling runs after the band mutex is dropped). recv_mu_ serializes
-/// pops against the rx freeze and is held only for the duration of a pop
-/// — never across a futex wait — so an abandoner freezing the rx tails
-/// cannot deadlock against a sleeping receiver. retire_mu_ guards the
-/// released bitmaps and published tails (taken after recv_mu_ where both
-/// are needed, never before). recv_frame is single-consumer (one bridge
-/// reader thread), like every transport in this repo; send_frame is
-/// any-thread. enable_shared_from_this: every borrowed frame keeps the
-/// session (and therefore the segment mapping) alive until it dies.
-class ShmSession : public std::enable_shared_from_this<ShmSession> {
-public:
-    ShmSession(std::shared_ptr<ShmSegment> seg, std::unique_ptr<Transport> tcp,
-               const ShmOptions& opts)
-        : seg_(std::move(seg)), tcp_(std::move(tcp)), opts_(normalize(opts)),
-          side_(seg_->side()) {
-        SegHeader& h = seg_->header();
-        capacity_ = h.ring_capacity;
-        mask_ = capacity_ - 1;
-        arena_bytes_ = h.arena_bytes;
-        max_frame_ = h.max_frame_bytes;
-        bands_ = h.bands;
-        // Geometry (bands included) comes from the header so both sides
-        // agree; only local knobs come from opts_. Re-clamp the pin
-        // budget against the header's capacity, which can differ from
-        // the capacity in this side's options.
-        max_pinned_ = opts_.max_pinned_slots;
-        if (max_pinned_ > capacity_ - 1) max_pinned_ = capacity_ - 1;
-        if (max_pinned_ < 1) max_pinned_ = 1;
-        for (std::size_t b = 0; b < bands_; ++b) {
-            tx_[b].slots = seg_->slots(side_, b);
-            tx_[b].arena = seg_->arena(side_, b);
-            rx_[b].slots = seg_->slots(1 - side_, b);
-            rx_[b].arena = seg_->arena(1 - side_, b);
-            rx_[b].released =
-                std::make_unique<std::atomic<std::uint8_t>[]>(capacity_);
-            rx_[b].popped = std::make_unique<SegSlot[]>(capacity_);
-            for (std::uint32_t i = 0; i < capacity_; ++i) {
-                rx_[b].released[i].store(0, std::memory_order_relaxed);
-            }
-        }
-        if (ReactorHook* hook = tcp_->reactor_hook()) {
-            tcp_fd_ = hook->descriptor();
-        }
-    }
-
-    ~ShmSession() { close_all(); }
-
-    // -- ring surface -------------------------------------------------------
-
-    /// Push one frame into the ring its band selects. False (frame
-    /// untouched) when the shm path cannot take it — oversize (triggers
-    /// orderly failover), peer gone, bye exchanged, or closed — and the
-    /// caller reroutes to TCP.
-    bool ring_send(FrameBuffer& frame) {
-        if (bye_pending_.load(std::memory_order_acquire)) {
-            std::lock_guard lk(send_mu_);
-            complete_peer_bye_locked();
-        }
-        if (!tx_up_.load(std::memory_order_acquire)) return false;
-        const std::size_t len = frame.size();
-        const std::size_t band = band_of(frame.data(), len);
-        TxBand& tx = tx_[band];
-        bool peer_died = false;
-        if (len <= max_frame_) {
-            std::lock_guard lk(tx.mu);
-            if (!tx_up_.load(std::memory_order_acquire)) return false;
-            std::size_t pos = 0;
-            switch (acquire_tx_space_locked(tx, band, len, pos)) {
-            case kSpaceDown:
-                return false;
-            case kSpacePeerDead:
-                peer_died = true;
-                break;
-            case kSpaceOk:
-                std::memcpy(tx.arena + pos, frame.data(), len);
-                tx.slots[tx.head & mask_] =
-                    SegSlot{static_cast<std::uint32_t>(pos),
-                            static_cast<std::uint32_t>(len)};
-                tx.arena_head += align8(len);
-                ++tx.head;
-                tx_dir(band).head.store(tx.head, std::memory_order_release);
-                wake_data_waiter(len, band);
-                tx.sent.fetch_add(1, std::memory_order_relaxed);
-                shm_sent_.fetch_add(1, std::memory_order_relaxed);
-                obs::FlightRecorder::emit(obs::EventType::kFrameSend, len,
-                                          static_cast<std::uint32_t>(band));
-                return true;
-            }
-        }
-        // Failure transitions run with the band mutex dropped: both take
-        // send_mu_ and then every band mutex.
-        if (peer_died) {
-            note_peer_dead();
-            return false;
-        }
-        // One route's frames must stay ordered, so an oversize frame
-        // cannot simply take the other path: abandon shm first, then
-        // everything (this frame included) rides TCP.
-        abandon("oversize frame");
-        return false;
-    }
-
-    /// One bounded receive attempt: spin, then at most one futex sleep
-    /// cycle, then report idle so the transport can poll the control
-    /// channel and peer liveness between cycles.
-    RingRecv ring_recv() {
-        RingRecv r = try_pop();
-        if (r.frame.has_value() || r.closed) return r;
-        for (std::size_t i = 0; i < opts_.spin_budget; ++i) {
-            if (rx_ring_has_data()) return try_pop();
-            cpu_relax();
-            spins_.fetch_add(1, std::memory_order_relaxed);
-        }
-        // All bands share one side-level data futex (the producing side's
-        // band-0 dir): the consumer registers once and whichever band's
-        // producer publishes next claims + wakes it. SPSC per
-        // registration: we are the only registrar, producers claim with
-        // exchange(0), so plain stores keep the flag in {0, 1}.
-        SegDir& d = rx_dir(0);
-        d.data_waiters.store(1, std::memory_order_seq_cst);
-        const std::uint32_t seq = d.data_seq.load(std::memory_order_acquire);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        const bool wake_worthy =
-            rx_ring_has_data() || rx_rings_closed() ||
-            rx_peer_done_.load(std::memory_order_acquire) ||
-            rx_frozen_.load(std::memory_order_acquire) ||
-            closed_.load(std::memory_order_acquire);
-        if (!wake_worthy) {
-            futex_wait_us(d.data_seq, seq, opts_.wait_cycle_us);
-            futex_waits_.fetch_add(1, std::memory_order_relaxed);
-        }
-        d.data_waiters.store(0, std::memory_order_release);
-        return try_pop();
-    }
-
-    std::size_t bands() const noexcept { return bands_; }
-
-    // -- TCP fallback and control -----------------------------------------
-
-    /// The ring refused the frame; carry it over TCP (after finishing any
-    /// failover handshake that refusal was part of).
-    void fallback_send(FrameBuffer frame) {
-        std::lock_guard lk(send_mu_);
-        if (bye_pending_.load(std::memory_order_acquire)) {
-            complete_peer_bye_locked();
-        }
-        if (closed_.load(std::memory_order_relaxed) ||
-            !tcp_up_.load(std::memory_order_relaxed)) {
-            throw TransportError(label() + ": peer closed");
-        }
-        tcp_->send_frame(std::move(frame));
-        tcp_sent_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /// The ring waited one cycle with no data. Poll the TCP channel for
-    /// control/fallback traffic, and periodically check that the peer
-    /// process still exists.
-    RingRecv idle_poll() {
-        if (closed_.load(std::memory_order_acquire)) {
-            return RingRecv::ended();
-        }
-        if (tcp_fd_ >= 0 && tcp_up_.load(std::memory_order_relaxed)) {
-            pollfd p{tcp_fd_, POLLIN | POLLRDHUP, 0};
-            if (poll(&p, 1, 0) > 0) return pump_tcp();
-        }
-        if (++liveness_tick_ % 8 == 0 && !peer_alive()) {
-            note_peer_dead();
-        }
-        return RingRecv{};
-    }
-
-    /// The segment is drained and done (graceful close, failover, or peer
-    /// death); keep receiving from the TCP wire.
-    RingRecv tcp_recv_blocking() {
-        if (!tcp_up_.load(std::memory_order_relaxed) ||
-            closed_.load(std::memory_order_relaxed)) {
-            return RingRecv::ended();
-        }
-        return pump_tcp();
-    }
-
-    /// Orderly reroute-to-TCP. Freezes our rx tail, stops our tx, tells
-    /// the peer (which replays our unconsumed inbound frames over TCP).
-    void abandon(const char* reason) {
-        std::lock_guard lk(send_mu_);
-        if (bye_pending_.load(std::memory_order_acquire)) {
-            complete_peer_bye_locked();
-        }
-        abandon_locked(reason);
-    }
-
-    void close_all() {
-        if (close_done_.exchange(true)) return;
-        {
-            std::lock_guard lk(send_mu_);
-            if (bye_pending_.load(std::memory_order_acquire)) {
-                complete_peer_bye_locked();
-            }
-            closed_.store(true, std::memory_order_release);
-            // Wake senders parked in a space wait so they drop their band
-            // mutex (they re-check closed_), letting us take every band.
-            wake_space_waiters();
-            std::array<std::unique_lock<std::mutex>, shm_detail::kMaxShmBands>
-                band_locks;
-            for (std::size_t b = 0; b < bands_; ++b) {
-                band_locks[b] = std::unique_lock(tx_[b].mu);
-            }
-            tx_up_.store(false, std::memory_order_release);
-            for (std::size_t b = 0; b < bands_; ++b) {
-                tx_dir(b).closed.store(1, std::memory_order_release);
-            }
-            std::atomic_thread_fence(std::memory_order_seq_cst);
-            SegDir& d0 = tx_dir(0);
-            d0.data_seq.fetch_add(1, std::memory_order_release);
-            futex_wake_all(d0.data_seq); // peer's receiver
-        }
-        { std::lock_guard rlk(recv_mu_); } // no pop in flight past here
-        wake_local_waiters();
-        // The mapping itself stays alive while borrowed frames hold the
-        // session (each one keeps a shared_ptr); detach only drops our
-        // attached flag so the peer and the orphan sweeper see us gone.
-        seg_->detach();
-        if (side_ == 0) seg_->unlink();
-        tcp_->close();
-    }
-
-    // -- introspection ------------------------------------------------------
-
-    ShmCounters counters() const {
-        ShmCounters c;
-        c.shm_frames_sent = shm_sent_.load(std::memory_order_relaxed);
-        c.shm_frames_received = shm_recv_.load(std::memory_order_relaxed);
-        c.tcp_frames_sent = tcp_sent_.load(std::memory_order_relaxed);
-        c.tcp_frames_received = tcp_recv_.load(std::memory_order_relaxed);
-        c.wakeups = wakeups_.load(std::memory_order_relaxed);
-        c.futex_waits = futex_waits_.load(std::memory_order_relaxed);
-        c.spins = spins_.load(std::memory_order_relaxed);
-        c.failovers = failovers_.load(std::memory_order_relaxed);
-        c.resent_frames = resent_.load(std::memory_order_relaxed);
-        c.dropped_on_failover = dropped_.load(std::memory_order_relaxed);
-        c.replay_skipped = replay_skipped_.load(std::memory_order_relaxed);
-        c.peer_protocol_errors =
-            protocol_errors_.load(std::memory_order_relaxed);
-        c.bands = static_cast<std::uint32_t>(bands_);
-        std::uint64_t txd = 0;
-        std::uint64_t rxd = 0;
-        for (std::size_t b = 0; b < bands_; ++b) {
-            const SegDir& dt = seg_->dir(side_, b);
-            const SegDir& dr = seg_->dir(1 - side_, b);
-            c.band_tx_depth[b] = dt.head.load(std::memory_order_relaxed) -
-                                 dt.tail.load(std::memory_order_relaxed);
-            c.band_rx_depth[b] = dr.head.load(std::memory_order_relaxed) -
-                                 dr.tail.load(std::memory_order_relaxed);
-            c.band_tx_stalls[b] = tx_[b].stalls.load(std::memory_order_relaxed);
-            c.band_tx_frames[b] = tx_[b].sent.load(std::memory_order_relaxed);
-            c.band_rx_frames[b] =
-                rx_[b].received.load(std::memory_order_relaxed);
-            txd += c.band_tx_depth[b];
-            rxd += c.band_rx_depth[b];
-            c.rx_borrowed += rx_[b].borrowed.load(std::memory_order_relaxed);
-            c.rx_copies += rx_[b].copies.load(std::memory_order_relaxed);
-            c.rx_pin_stalls +=
-                rx_[b].pin_stalls.load(std::memory_order_relaxed);
-            c.rx_pinned += rx_[b].next.load(std::memory_order_relaxed) -
-                           rx_[b].retired.load(std::memory_order_relaxed);
-        }
-        c.tx_depth = txd;
-        c.rx_depth = rxd;
-        c.shm_active = shm_active();
-        return c;
-    }
-
-    bool shm_active() const {
-        return tx_up_.load(std::memory_order_relaxed) &&
-               !rx_frozen_.load(std::memory_order_relaxed) &&
-               !closed_.load(std::memory_order_relaxed);
-    }
-
-    const std::string& segment_name() const { return seg_->name(); }
-    std::uint64_t generation() const { return seg_->generation(); }
-    std::string label() const { return "shm:" + seg_->name(); }
-
-    FrameBufferPool& pool() noexcept {
-        return opts_.pool != nullptr ? *opts_.pool : FrameBufferPool::global();
-    }
-
-private:
-    /// Per-band producer state, guarded by its own mutex so a bulk band's
-    /// space wait never blocks an urgent send. Cached consumer positions
-    /// avoid re-reading the shared line until the ring looks full.
-    struct TxBand {
-        std::mutex mu;
-        std::uint32_t head = 0;
-        std::uint32_t cached_tail = 0;
-        std::uint64_t arena_head = 0;
-        std::uint64_t cached_arena_tail = 0;
-        SegSlot* slots = nullptr;
-        std::uint8_t* arena = nullptr;
-        std::atomic<std::uint64_t> sent{0};
-        std::atomic<std::uint64_t> stalls{0};
-    };
-
-    /// Per-band consumer state. `next` (the delivery cursor) is advanced
-    /// by the recv thread under recv_mu_; the retire window — `retired`,
-    /// `arena_retired`, the released bitmap — belongs to retire_mu_,
-    /// because release hooks run on whatever thread drops a borrowed
-    /// frame. `head_hint` is the recv thread's lock-free spin mirror.
-    struct RxBand {
-        std::atomic<std::uint32_t> next{0};
-        std::uint32_t head_hint = 0;
-        std::atomic<std::uint32_t> retired{0};
-        std::uint64_t arena_retired = 0;
-        std::atomic<std::uint32_t> skip_replay{0};
-        std::unique_ptr<std::atomic<std::uint8_t>[]> released;
-        /// Bounds-checked copy of each popped slot's descriptor; the
-        /// retire walk reads these, never the peer-writable ring.
-        std::unique_ptr<SegSlot[]> popped;
-        SegSlot* slots = nullptr;
-        std::uint8_t* arena = nullptr;
-        std::atomic<std::uint64_t> received{0};
-        std::atomic<std::uint64_t> borrowed{0};
-        std::atomic<std::uint64_t> copies{0};
-        std::atomic<std::uint64_t> pin_stalls{0};
-    };
-
-    enum SpaceResult { kSpaceOk, kSpaceDown, kSpacePeerDead };
-
-    SegDir& tx_dir(std::size_t band) noexcept {
-        return seg_->dir(side_, band);
-    }
-    SegDir& rx_dir(std::size_t band) noexcept {
-        return seg_->dir(1 - side_, band);
-    }
-
-    /// Band selection mirrors LaneGroup: the GIOP flags octet names the
-    /// band, clamped into the configured lane count. Short frames and
-    /// single-band segments take band 0.
-    std::size_t band_of(const std::uint8_t* data,
-                        std::size_t len) const noexcept {
-        if (bands_ == 1 || len < cdr::GiopHeader::kSize) return 0;
-        return LanePolicy::band_for_frame(data, bands_);
-    }
-
-    bool rx_ring_has_data() noexcept {
-        for (std::size_t b = 0; b < bands_; ++b) {
-            if (rx_dir(b).head.load(std::memory_order_acquire) !=
-                rx_[b].head_hint) {
-                return true;
-            }
-        }
-        return false;
-    }
-
-    bool rx_rings_closed() noexcept {
-        for (std::size_t b = 0; b < bands_; ++b) {
-            if (rx_dir(b).closed.load(std::memory_order_acquire) == 0) {
-                return false;
-            }
-        }
-        return true;
-    }
-
-    /// Anything that should abort an in-flight send attempt.
-    bool tx_interrupted() const noexcept {
-        return bye_pending_.load(std::memory_order_acquire) ||
-               bye_sent_.load(std::memory_order_acquire) ||
-               peer_dead_.load(std::memory_order_acquire) ||
-               closed_.load(std::memory_order_acquire) ||
-               !tx_up_.load(std::memory_order_acquire);
-    }
-
-    /// Only-if-waiters wake of the consumer's side-level data futex
-    /// (Dekker with the consumer's registration: the seq_cst fence orders
-    /// our head publish before the waiters exchange; the consumer's
-    /// seq_cst registration orders before its head re-check, so one of us
-    /// always sees the other). The exchange CLAIMS the registration: a
-    /// woken-but-not-yet-scheduled consumer costs one wake per waiting
-    /// episode, not one per push — on a single core the consumer can stay
-    /// registered across a whole batch of sends. All bands funnel through
-    /// band 0's dir; concurrent producers race on the exchange and
-    /// exactly one wins.
-    void wake_data_waiter(std::size_t len, std::size_t band) {
-        SegDir& d0 = tx_dir(0);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (d0.data_waiters.exchange(0, std::memory_order_seq_cst) != 0) {
-            d0.data_seq.fetch_add(1, std::memory_order_release);
-            futex_wake_all(d0.data_seq);
-            wakeups_.fetch_add(1, std::memory_order_relaxed);
-            obs::FlightRecorder::emit(obs::EventType::kShmWakeup, len, 0);
-            // Priority handoff: on a banded segment, a band-0 frame just
-            // woke a consumer that outranks whatever this thread does next
-            // (typically draining bulk lanes). Without kernel priority
-            // preemption (SCHED_FIFO is rarely available in containers) the
-            // woken thread only runs when this one exhausts its slice, so
-            // an urgent frame sits decoded-but-undelivered behind bulk
-            // work. Yielding here is the uniprocessor stand-in for a
-            // priority-based dispatch: it costs one syscall per *claimed*
-            // wake (rare — the exchange above already dedups), and only
-            // when lanes exist to invert.
-            if (bands_ > 1 && band == 0) {
-                std::this_thread::yield();
-            }
-        }
-    }
-
-    /// Nudge every band's space futex so parked senders re-check state
-    /// (and drop their band mutex when a transition is in flight).
-    void wake_space_waiters() {
-        for (std::size_t b = 0; b < bands_; ++b) {
-            SegDir& d = tx_dir(b);
-            d.space_seq.fetch_add(1, std::memory_order_release);
-            futex_wake_all(d.space_seq);
-        }
-    }
-
-    /// Reserve a slot + `len` arena bytes in one band, applying the wrap
-    /// skip. Blocks (bounded futex cycles with liveness/bye checks) under
-    /// backpressure.
-    SpaceResult acquire_tx_space_locked(TxBand& tx, std::size_t band,
-                                        std::size_t len,
-                                        std::size_t& pos_out) {
-        SegDir& d = tx_dir(band);
-        for (;;) {
-            if (tx.head - tx.cached_tail >= capacity_) {
-                tx.cached_tail = d.tail.load(std::memory_order_acquire);
-            }
-            const std::uint64_t pos = tx.arena_head % arena_bytes_;
-            const std::uint64_t skip =
-                (arena_bytes_ - pos < len) ? (arena_bytes_ - pos) : 0;
-            const std::uint64_t need = skip + align8(len);
-            if (tx.arena_head + need - tx.cached_arena_tail > arena_bytes_) {
-                tx.cached_arena_tail =
-                    d.arena_tail.load(std::memory_order_acquire);
-            }
-            if (tx.head - tx.cached_tail < capacity_ &&
-                tx.arena_head + need - tx.cached_arena_tail <= arena_bytes_) {
-                tx.arena_head += skip;
-                pos_out =
-                    static_cast<std::size_t>(tx.arena_head % arena_bytes_);
-                return kSpaceOk;
-            }
-            const SpaceResult w = wait_tx_space_locked(tx, band);
-            if (w != kSpaceOk) return w;
-        }
-    }
-
-    /// One bounded wait for the consumer to free space, holding only this
-    /// band's mutex. Never completes a bye or peer-death transition here —
-    /// those take send_mu_ then every band mutex, the wrong order from
-    /// under a band mutex — it just reports the condition and the caller
-    /// finishes it after unlocking. Transitions wake the space futexes
-    /// before taking band mutexes, so a parked waiter re-checks promptly.
-    SpaceResult wait_tx_space_locked(TxBand& tx, std::size_t band) {
-        if (tx_interrupted()) return kSpaceDown;
-        if (!peer_alive()) return kSpacePeerDead;
-        SegDir& d = tx_dir(band);
-        const std::uint32_t seen_tail = tx.cached_tail;
-        const std::uint64_t seen_arena_tail = tx.cached_arena_tail;
-        tx.stalls.fetch_add(1, std::memory_order_relaxed);
-        // SPSC per band dir: producers serialize on tx.mu, so at most one
-        // registrar; the retirer claims with exchange(0).
-        d.space_waiters.store(1, std::memory_order_seq_cst);
-        const std::uint32_t seq = d.space_seq.load(std::memory_order_acquire);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        const bool progressed =
-            d.tail.load(std::memory_order_acquire) != seen_tail ||
-            d.arena_tail.load(std::memory_order_acquire) != seen_arena_tail ||
-            tx_interrupted();
-        if (!progressed) {
-            futex_wait_us(d.space_seq, seq, opts_.wait_cycle_us);
-            futex_waits_.fetch_add(1, std::memory_order_relaxed);
-        }
-        d.space_waiters.store(0, std::memory_order_release);
-        if (tx_interrupted()) return kSpaceDown;
-        return kSpaceOk;
-    }
-
-    /// Non-blocking pop of our inbound rings, band 0 (most urgent) first.
-    /// Exactly one of: frame; closed (rings down AND drained); idle.
-    RingRecv try_pop() {
-        {
-            std::lock_guard lk(recv_mu_);
-            if (rx_frozen_.load(std::memory_order_acquire) ||
-                closed_.load(std::memory_order_acquire)) {
-                return RingRecv::ended();
-            }
-            bool all_closed = true;
-            bool corrupt = false;
-            for (std::size_t b = 0; b < bands_ && !corrupt; ++b) {
-                SegDir& d = rx_dir(b);
-                const std::uint32_t next =
-                    rx_[b].next.load(std::memory_order_relaxed);
-                const std::uint32_t head =
-                    d.head.load(std::memory_order_acquire);
-                if (head != next) {
-                    // One copy of the peer-written descriptor, checked
-                    // before any byte it names is touched. An honest
-                    // producer never publishes more than a ring ahead of
-                    // the tail we retired to; a head that does would
-                    // alias slots still in the retire window.
-                    const SegSlot slot = rx_[b].slots[next & mask_];
-                    const std::uint32_t ahead =
-                        head - rx_[b].retired.load(std::memory_order_acquire);
-                    if (ahead > capacity_ || !slot_in_bounds(slot)) {
-                        corrupt = true;
-                        break;
-                    }
-                    return pop_band_locked(b, next, slot);
-                }
-                if (d.closed.load(std::memory_order_acquire) == 0) {
-                    all_closed = false;
-                }
-            }
-            if (!corrupt) {
-                const bool done =
-                    rx_peer_done_.load(std::memory_order_acquire) ||
-                    all_closed || peer_dead_.load(std::memory_order_acquire);
-                return done ? RingRecv::ended() : RingRecv{};
-            }
-        }
-        // The peer published a ring entry we cannot trust: stop reading
-        // the ring. Abandon freezes the rx side (so no later pop reaches
-        // the bad entry) and moves the route onto TCP; it takes send_mu_,
-        // hence outside recv_mu_.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        abandon("peer protocol error");
-        return RingRecv::ended();
-    }
-
-    /// A peer-written descriptor is usable only if it names bytes inside
-    /// the arena and no more than the negotiated frame bound.
-    bool slot_in_bounds(const SegSlot& slot) const noexcept {
-        return slot.len <= max_frame_ &&
-               std::uint64_t{slot.offset} + slot.len <= arena_bytes_;
-    }
-
-    /// Deliver the frame at `next` in band `b`. Zero-copy while the pin
-    /// budget allows: the frame is a view of the arena
-    /// slot, the release hook retires it when the frame dies, and the
-    /// keepalive pins this session (and the mapping) underneath it.
-    /// Otherwise copy out into a pooled buffer and retire immediately.
-    /// `slot` is the descriptor try_pop copied and bounds-checked.
-    RingRecv pop_band_locked(std::size_t b, std::uint32_t next,
-                             const SegSlot& slot) {
-        RxBand& rx = rx_[b];
-        const std::uint32_t idx = next & mask_;
-        rx.popped[idx] = slot;
-        std::uint8_t* src = rx.arena + slot.offset;
-        // Delivered-but-unretired slots. Capping below capacity keeps
-        // bitmap indices collision-free (at pinned == capacity the next
-        // pop would reuse a still-pinned slot's bit).
-        const std::uint32_t pinned =
-            next - rx.retired.load(std::memory_order_acquire);
-        FrameBuffer out;
-        bool copied = false;
-        if (pinned < max_pinned_) {
-            out = FrameBuffer::borrow(
-                src, slot.len, &ShmSession::release_hook, this,
-                (static_cast<std::uint32_t>(b) << 24) | idx,
-                shared_from_this());
-            rx.borrowed.fetch_add(1, std::memory_order_relaxed);
-            pool().note_borrowed();
-        } else {
-            rx.pin_stalls.fetch_add(1, std::memory_order_relaxed);
-            out = pool().acquire(slot.len);
-            std::memcpy(out.data(), src, slot.len);
-            rx.copies.fetch_add(1, std::memory_order_relaxed);
-            copied = true;
-        }
-        rx.next.store(next + 1, std::memory_order_release);
-        rx.head_hint = next + 1;
-        rx.received.fetch_add(1, std::memory_order_relaxed);
-        shm_recv_.fetch_add(1, std::memory_order_relaxed);
-        obs::FlightRecorder::emit(obs::EventType::kFrameRecv, slot.len,
-                                  static_cast<std::uint32_t>(b));
-        if (copied) release_slot(b, idx);
-        return RingRecv{.frame = std::move(out)};
-    }
-
-    static void release_hook(void* ctx, std::uint32_t token) noexcept {
-        static_cast<ShmSession*>(ctx)->release_slot(token >> 24,
-                                                    token & 0xffffffu);
-    }
-
-    /// Borrowed-frame death (any thread): mark the slot released, then
-    /// advance the published tail over the maximal released prefix. The
-    /// tail never moves while the rx side is frozen or closed — a
-    /// failover's replay window is pinned to the frozen tail (see
-    /// abandon_locked), and a closed segment is no longer producing.
-    void release_slot(std::size_t band, std::uint32_t idx) noexcept {
-        RxBand& rx = rx_[band];
-        std::lock_guard lk(retire_mu_);
-        rx.released[idx].store(1, std::memory_order_relaxed);
-        if (rx_frozen_.load(std::memory_order_acquire) ||
-            closed_.load(std::memory_order_acquire)) {
-            return; // bookkeeping only; the tail stays frozen
-        }
-        retire_band_locked(band);
-    }
-
-    /// Advance retired/tail over every contiguously released slot,
-    /// mirroring the producer's wrap skip on the arena position, then
-    /// wake a space-starved producer if one is parked.
-    void retire_band_locked(std::size_t band) noexcept {
-        RxBand& rx = rx_[band];
-        SegDir& d = rx_dir(band);
-        std::uint32_t r = rx.retired.load(std::memory_order_relaxed);
-        const std::uint32_t limit = rx.next.load(std::memory_order_acquire);
-        bool advanced = false;
-        while (r != limit &&
-               rx.released[r & mask_].load(std::memory_order_relaxed) != 0) {
-            rx.released[r & mask_].store(0, std::memory_order_relaxed);
-            const SegSlot slot = rx.popped[r & mask_];
-            // A slot that does not start at our retire position means the
-            // producer jumped to the arena boundary.
-            if (rx.arena_retired % arena_bytes_ != slot.offset) {
-                rx.arena_retired +=
-                    arena_bytes_ - (rx.arena_retired % arena_bytes_);
-            }
-            rx.arena_retired += align8(slot.len);
-            ++r;
-            advanced = true;
-        }
-        if (!advanced) return;
-        d.arena_tail.store(rx.arena_retired, std::memory_order_release);
-        rx.retired.store(r, std::memory_order_release);
-        d.tail.store(r, std::memory_order_release);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (d.space_waiters.exchange(0, std::memory_order_seq_cst) != 0) {
-            d.space_seq.fetch_add(1, std::memory_order_release);
-            futex_wake_all(d.space_seq);
-            wakeups_.fetch_add(1, std::memory_order_relaxed);
-            obs::FlightRecorder::emit(obs::EventType::kShmWakeup, 0, 1);
-        }
-    }
-
-    /// Read one TCP frame (blocking) and classify: shm control is handled
-    /// here, data frames are delivered to the caller.
-    RingRecv pump_tcp() {
-        std::optional<FrameBuffer> f;
-        try {
-            f = tcp_->recv_frame();
-        } catch (const TransportError&) {
-            f.reset();
-        }
-        if (!f.has_value()) {
-            tcp_up_.store(false, std::memory_order_release);
-            // Peer's graceful close: its ring-closed flag (or death) ends
-            // the segment side; retry lets the ring report it.
-            return RingRecv{};
-        }
-        if (is_control_bye(*f)) {
-            handle_peer_bye();
-            return RingRecv{};
-        }
-        // After we froze our rx side with delivered-but-unretired slots
-        // outstanding, the peer's replay re-sends those frames (it can
-        // only see the frozen tail). Drop exactly the per-band skip
-        // counts recorded at the freeze; everything past them is new.
-        if (rx_frozen_.load(std::memory_order_acquire)) {
-            const std::size_t band = band_of(f->data(), f->size());
-            auto& skip = rx_[band].skip_replay;
-            const std::uint32_t left = skip.load(std::memory_order_acquire);
-            if (left > 0) {
-                skip.store(left - 1, std::memory_order_release);
-                replay_skipped_.fetch_add(1, std::memory_order_relaxed);
-                return RingRecv{};
-            }
-        }
-        tcp_recv_.fetch_add(1, std::memory_order_relaxed);
-        return RingRecv{.frame = std::move(*f)};
-    }
-
-    static bool is_control_bye(const FrameBuffer& f) noexcept {
-        try {
-            if (f.size() < cdr::GiopHeader::kSize) return false;
-            const cdr::GiopHeader h = cdr::decode_header(f.data(), f.size());
-            if (h.msg_type != cdr::GiopMsgType::kRequest) return false;
-            const cdr::DecodedRequestView v =
-                cdr::decode_request_view(f.data(), f.size());
-            return v.header.object_key == kControlKey &&
-                   v.header.operation == "bye";
-        } catch (...) {
-            return false;
-        }
-    }
-
-    /// Inbound bye (recv thread). Flag it, wake any sender blocked inside
-    /// a space wait (it aborts and falls through to the completion — see
-    /// wait_tx_space_locked), then complete under send_mu_.
-    void handle_peer_bye() {
-        bye_pending_.store(true, std::memory_order_release);
-        wake_space_waiters();
-        std::lock_guard lk(send_mu_);
-        complete_peer_bye_locked();
-    }
-
-    /// The peer froze its rx tails and switched to TCP. Take every band
-    /// mutex (stopping the producers), replay exactly our unconsumed
-    /// [tail, head) outbound frames over TCP — band 0 first, and ahead of
-    /// any newer sends, which serialize behind send_mu_ — then treat the
-    /// peer's production side as finished. The replay batch-reserves
-    /// pooled buffers, so a 400-frame resend costs a handful of pool-lock
-    /// acquisitions; each frame then goes through the TCP wire's one
-    /// writer like any other send.
-    void complete_peer_bye_locked() {
-        if (!bye_pending_.exchange(false, std::memory_order_acq_rel)) return;
-        std::array<std::unique_lock<std::mutex>, shm_detail::kMaxShmBands>
-            band_locks;
-        for (std::size_t b = 0; b < bands_; ++b) {
-            band_locks[b] = std::unique_lock(tx_[b].mu);
-        }
-        tx_up_.store(false, std::memory_order_release);
-        for (std::size_t b = 0; b < bands_; ++b) {
-            replay_band_locked(tx_[b], tx_dir(b));
-        }
-        rx_peer_done_.store(true, std::memory_order_release);
-        wake_local_waiters();
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        obs::FlightRecorder::emit(obs::EventType::kShmFailover, 0, 0);
-    }
-
-    /// The slot ring lives in the shared segment, so a replayed
-    /// descriptor is checked like an inbound one: a slot outside the
-    /// arena is counted and dropped, never read.
-    void replay_band_locked(TxBand& tx, SegDir& d) {
-        std::uint32_t t = d.tail.load(std::memory_order_acquire);
-        constexpr std::size_t kReplayBatch = 32;
-        FrameBuffer bufs[kReplayBatch];
-        while (t != tx.head) {
-            // Window of up to kReplayBatch pending slots, sized by the
-            // largest frame among them so one batch-acquire covers all of
-            // them (the per-frame resize down never reallocates).
-            std::size_t n = 0;
-            std::size_t max_len = 0;
-            for (std::uint32_t w = t; w != tx.head && n < kReplayBatch;
-                 ++w, ++n) {
-                const SegSlot slot = tx.slots[w & mask_];
-                if (slot_in_bounds(slot) && slot.len > max_len) {
-                    max_len = slot.len;
-                }
-            }
-            if (tcp_up_.load(std::memory_order_relaxed)) {
-                pool().acquire_batch(max_len, bufs, n);
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                // Re-read after the sizing scan, so check it again: the
-                // buffer holds max_len bytes.
-                const SegSlot slot = tx.slots[t & mask_];
-                ++t;
-                if (!slot_in_bounds(slot) || slot.len > max_len) {
-                    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-                    dropped_.fetch_add(1, std::memory_order_relaxed);
-                    bufs[i].release();
-                    continue;
-                }
-                if (!tcp_up_.load(std::memory_order_relaxed)) {
-                    dropped_.fetch_add(1, std::memory_order_relaxed);
-                    bufs[i].release();
-                    continue;
-                }
-                bufs[i].resize(slot.len);
-                std::memcpy(bufs[i].data(), tx.arena + slot.offset, slot.len);
-                try {
-                    tcp_->send_frame(std::move(bufs[i]));
-                    resent_.fetch_add(1, std::memory_order_relaxed);
-                } catch (const TransportError&) {
-                    tcp_up_.store(false, std::memory_order_release);
-                    dropped_.fetch_add(1, std::memory_order_relaxed);
-                }
-            }
-        }
-    }
-
-    /// Orderly reroute-to-TCP. Stops our producers (all bands), freezes
-    /// our rx tails recording how many delivered-but-unretired slots each
-    /// band holds — the peer's replay will re-send those, and pump_tcp
-    /// skips exactly that many — then tells the peer. Pinned borrowed
-    /// frames stay valid across the switch: the frozen tails keep the
-    /// peer's producer from ever reclaiming their arena bytes, and it
-    /// stops producing once the bye lands anyway.
-    void abandon_locked(const char* reason) {
-        if (bye_sent_.exchange(true, std::memory_order_acq_rel)) return;
-        (void)reason;
-        // Senders parked in a space wait hold their band mutex; they
-        // re-check bye_sent_ on wake and bail, letting us take it.
-        wake_space_waiters();
-        {
-            std::array<std::unique_lock<std::mutex>, shm_detail::kMaxShmBands>
-                band_locks;
-            for (std::size_t b = 0; b < bands_; ++b) {
-                band_locks[b] = std::unique_lock(tx_[b].mu);
-            }
-            tx_up_.store(false, std::memory_order_release);
-        } // no ring publish of ours can land past this point
-        {
-            std::lock_guard rlk(recv_mu_);
-            std::lock_guard tlk(retire_mu_);
-            rx_frozen_.store(true, std::memory_order_release);
-            for (std::size_t b = 0; b < bands_; ++b) {
-                rx_[b].skip_replay.store(
-                    rx_[b].next.load(std::memory_order_relaxed) -
-                        rx_[b].retired.load(std::memory_order_relaxed),
-                    std::memory_order_release);
-            }
-        }
-        wake_local_waiters();
-        if (tcp_up_.load(std::memory_order_relaxed)) {
-            try {
-                send_control_locked("bye");
-            } catch (const TransportError&) {
-                tcp_up_.store(false, std::memory_order_release);
-            }
-        }
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        obs::FlightRecorder::emit(obs::EventType::kShmFailover, 1, 0);
-    }
-
-    void note_peer_dead() {
-        std::lock_guard lk(send_mu_);
-        note_peer_dead_locked();
-    }
-
-    /// Peer died without a bye. Our unconsumed outbound frames are moot
-    /// (their consumer is gone — counted, not resent); the peer's already
-    /// published inbound frames stay deliverable until the rings drain,
-    /// and already-pinned slots stay valid forever (a dead producer can
-    /// never reclaim them).
-    void note_peer_dead_locked() {
-        if (peer_dead_.exchange(true, std::memory_order_acq_rel)) return;
-        wake_space_waiters();
-        {
-            std::array<std::unique_lock<std::mutex>, shm_detail::kMaxShmBands>
-                band_locks;
-            for (std::size_t b = 0; b < bands_; ++b) {
-                band_locks[b] = std::unique_lock(tx_[b].mu);
-            }
-            tx_up_.store(false, std::memory_order_release);
-            for (std::size_t b = 0; b < bands_; ++b) {
-                dropped_.fetch_add(
-                    tx_[b].head -
-                        tx_dir(b).tail.load(std::memory_order_acquire),
-                    std::memory_order_relaxed);
-            }
-        }
-        rx_peer_done_.store(true, std::memory_order_release);
-        wake_local_waiters();
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-        obs::FlightRecorder::emit(obs::EventType::kShmFailover, 2, 0);
-    }
-
-    bool peer_alive() noexcept {
-        const SegHeader& h = seg_->header();
-        const int peer = 1 - side_;
-        if (h.attached[peer].load(std::memory_order_acquire) == 0) {
-            // Graceful detach (or not yet attached): not death. The ring
-            // closed flag / TCP EOF covers the graceful path.
-            return true;
-        }
-        return pid_alive(static_cast<pid_t>(
-            h.pid[peer].load(std::memory_order_acquire)));
-    }
-
-    /// Wake our own receiver (sleeping on the peer side's band-0 data
-    /// futex) and our own senders (sleeping on our per-band space
-    /// futexes) so they re-check state.
-    void wake_local_waiters() {
-        SegDir& rd = rx_dir(0);
-        rd.data_seq.fetch_add(1, std::memory_order_release);
-        futex_wake_all(rd.data_seq);
-        wake_space_waiters();
-    }
-
-    void send_control_locked(const char* op) {
-        cdr::RequestHeader req;
-        req.request_id = 0;
-        req.response_expected = false;
-        req.object_key = kControlKey;
-        req.operation = op;
-        tcp_->send_frame(cdr::encode_request(req, nullptr, 0));
-    }
-
-    std::shared_ptr<ShmSegment> seg_;
-    std::unique_ptr<Transport> tcp_;
-    const ShmOptions opts_;
-    const int side_;
-    std::uint32_t capacity_ = 0;
-    std::uint32_t mask_ = 0;
-    std::uint64_t arena_bytes_ = 0;
-    std::size_t max_frame_ = 0;
-    std::size_t bands_ = 1;
-    std::uint32_t max_pinned_ = 1;
-    int tcp_fd_ = -1;
-
-    std::mutex send_mu_;   ///< failover state machine + TCP send ordering
-    std::mutex recv_mu_;   ///< pop vs rx-freeze (never held across a wait)
-    std::mutex retire_mu_; ///< released bitmaps + published tails
-
-    std::array<TxBand, shm_detail::kMaxShmBands> tx_;
-    std::array<RxBand, shm_detail::kMaxShmBands> rx_;
-
-    std::uint64_t liveness_tick_ = 0; ///< recv-thread-only
-
-    std::atomic<bool> tx_up_{true};
-    std::atomic<bool> rx_frozen_{false};
-    std::atomic<bool> rx_peer_done_{false};
-    std::atomic<bool> bye_pending_{false};
-    std::atomic<bool> bye_sent_{false};
-    std::atomic<bool> peer_dead_{false};
-    std::atomic<bool> closed_{false};
-    std::atomic<bool> close_done_{false};
-    std::atomic<bool> tcp_up_{true};
-
-    std::atomic<std::uint64_t> protocol_errors_{0};
-    std::atomic<std::uint64_t> shm_sent_{0};
-    std::atomic<std::uint64_t> shm_recv_{0};
-    std::atomic<std::uint64_t> tcp_sent_{0};
-    std::atomic<std::uint64_t> tcp_recv_{0};
-    std::atomic<std::uint64_t> wakeups_{0};
-    std::atomic<std::uint64_t> futex_waits_{0};
-    std::atomic<std::uint64_t> spins_{0};
-    std::atomic<std::uint64_t> failovers_{0};
-    std::atomic<std::uint64_t> resent_{0};
-    std::atomic<std::uint64_t> dropped_{0};
-    std::atomic<std::uint64_t> replay_skipped_{0};
-};
-
 // ---- ShmTransport ---------------------------------------------------------
 
-ShmTransport::ShmTransport(std::shared_ptr<ShmSession> session,
-                           std::string label)
-    : session_(std::move(session)), label_(std::move(label)) {}
+struct ShmTransport::Inbound {
+    std::shared_ptr<ShmSegment> seg;
+    std::array<std::optional<ShmRingConsumer>, shm_detail::kMaxShmBands>
+        rings;
+    std::mutex retire_mu; ///< every ring's release + retire
+    /// Set by a failover freeze or a close: the tails stay where they are
+    /// (a failover's replay window is pinned to the frozen tail, and a
+    /// closed segment is no longer producing), so a release is only
+    /// bookkeeping from then on.
+    std::atomic<bool> frozen{false};
+    std::atomic<std::uint64_t> space_wakeups{0};
+
+    /// A popped frame died (any thread): release its slot and retire the
+    /// released prefix, waking a space-starved producer if one is parked.
+    void release(std::uint32_t token) noexcept {
+        const std::size_t band = token >> 24;
+        ShmRingConsumer& ring = *rings[band];
+        std::lock_guard lk(retire_mu);
+        ring.release(token & 0xffffffu);
+        if (frozen.load(std::memory_order_acquire) || !ring.retire()) return;
+        SegDir& d = ring.dir();
+        futex_wake_all(d.space_seq);
+        space_wakeups.fetch_add(1, std::memory_order_relaxed);
+        obs::FlightRecorder::emit(obs::EventType::kShmWakeup, 0, 1);
+    }
+};
+
+ShmTransport::ShmTransport(std::shared_ptr<ShmSegment> segment,
+                           std::unique_ptr<Transport> tcp,
+                           const ShmOptions& options, std::string label)
+    : in_(std::make_shared<Inbound>()), seg_(*segment), tcp_(std::move(tcp)),
+      label_(std::move(label)), side_(segment->side()),
+      bands_(segment->bands()),
+      max_frame_(segment->header().max_frame_bytes),
+      wait_cycle_us_(options.wait_cycle_us) {
+    const SegHeader& h = seg_.header();
+    const ShmRingGeometry g{h.ring_capacity, h.arena_bytes, h.max_frame_bytes};
+    // Re-clamp the pin budget against the header's capacity, which can
+    // differ from the capacity in this side's options.
+    max_pinned_ = static_cast<std::uint32_t>(std::clamp<std::size_t>(
+        normalize(options).max_pinned_slots, 1, g.capacity - 1));
+    for (std::size_t b = 0; b < bands_; ++b) {
+        // All bands ring one side-level doorbell (band 0's dir), so the
+        // peer's single receiver registers once for every band.
+        tx_[b].ring = ShmRingProducer(seg_.dir(side_, b), seg_.slots(side_, b),
+                                      seg_.arena(side_, b), g,
+                                      seg_.dir(side_, 0));
+        in_->rings[b].emplace(seg_.dir(1 - side_, b), seg_.slots(1 - side_, b),
+                              seg_.arena(1 - side_, b), g);
+    }
+    in_->seg = std::move(segment);
+    if (ReactorHook* hook = tcp_->reactor_hook()) {
+        tcp_fd_ = hook->descriptor();
+    }
+}
 
 ShmTransport::~ShmTransport() { close(); }
 
 void ShmTransport::send_frame(FrameBuffer frame) {
-    // ring_send leaves the frame intact when it refuses it, so the TCP
-    // fallback carries the same bytes.
-    if (!session_->ring_send(frame)) session_->fallback_send(std::move(frame));
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    if (!ring_send(frame)) fallback_send(std::move(frame));
+}
+
+/// Push one frame into the ring its band selects. False, with the frame
+/// untouched for the TCP fallback, when the shm path cannot take it:
+/// oversize (which starts a failover), failed over, peer gone or closed.
+bool ShmTransport::ring_send(FrameBuffer& frame) {
+    if (!tx_up_.load(std::memory_order_acquire)) return false;
+    const std::size_t len = frame.size();
+    if (len > max_frame_) {
+        // One route's frames must stay ordered, so an oversize frame
+        // cannot simply take the other path: abandon shm first, then
+        // everything (this frame included) rides TCP.
+        abandon_shm("oversize frame");
+        return false;
+    }
+    const std::size_t band = band_of(frame.data(), len);
+    TxBand& tx = tx_[band];
+    {
+        std::lock_guard lk(tx.mu);
+        Space space = Space::kOk;
+        while (space == Space::kOk) {
+            if (!tx_up_.load(std::memory_order_acquire)) return false;
+            if (std::uint8_t* dst = tx.ring.try_reserve(len)) {
+                std::memcpy(dst, frame.data(), len);
+                if (tx.ring.publish(len)) wake_receiver(len, band);
+                tx.sent.fetch_add(1, std::memory_order_relaxed);
+                obs::FlightRecorder::emit(obs::EventType::kFrameSend, len,
+                                          static_cast<std::uint32_t>(band));
+                return true;
+            }
+            space = wait_tx_space_locked(tx);
+        }
+        if (space == Space::kDown) return false;
+    }
+    // Failure transitions take send_mu_ and then every band mutex, so
+    // they run with the band mutex dropped.
+    note_peer_dead();
+    return false;
+}
+
+/// One bounded wait for the consumer to free space, holding only this
+/// band's mutex. It reports peer death rather than handling it: the
+/// transition takes send_mu_ then every band mutex. Transitions drop
+/// tx_up_ and wake the space futexes first, so a waiter bails promptly.
+ShmTransport::Space ShmTransport::wait_tx_space_locked(TxBand& tx) {
+    if (!tx_up_.load(std::memory_order_acquire)) return Space::kDown;
+    if (!peer_alive()) return Space::kPeerDead;
+    SegDir& d = tx.ring.dir();
+    tx.stalls.fetch_add(1, std::memory_order_relaxed);
+    // SPSC per band dir: producers serialize on tx.mu, so at most one
+    // registrar; the retirer claims with exchange(0).
+    d.space_waiters.store(1, std::memory_order_seq_cst);
+    const std::uint32_t seq = d.space_seq.load(std::memory_order_acquire);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!tx.ring.consumer_moved() && tx_up_.load(std::memory_order_acquire)) {
+        futex_wait_us(d.space_seq, seq, wait_cycle_us_);
+        futex_waits_.fetch_add(1, std::memory_order_relaxed);
+    }
+    d.space_waiters.store(0, std::memory_order_release);
+    return tx_up_.load(std::memory_order_acquire) ? Space::kOk : Space::kDown;
+}
+
+/// The publish claimed the peer receiver's registration: wake it.
+void ShmTransport::wake_receiver(std::size_t len, std::size_t band) {
+    futex_wake_all(seg_.dir(side_, 0).data_seq);
+    tx_[band].wakeups.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::emit(obs::EventType::kShmWakeup, len, 0);
+    // Priority handoff: a band-0 frame just woke a consumer that outranks
+    // what this thread does next (typically bulk lanes). Without kernel
+    // priority preemption the woken thread runs only when this one's
+    // slice ends, so yield: one syscall per claimed wake, and only when
+    // lanes exist to invert.
+    if (bands_ > 1 && band == 0) std::this_thread::yield();
+}
+
+/// The ring refused the frame; carry it over TCP.
+void ShmTransport::fallback_send(FrameBuffer frame) {
+    std::lock_guard lk(send_mu_);
+    if (closed_.load(std::memory_order_relaxed) ||
+        !tcp_up_.load(std::memory_order_relaxed)) {
+        throw TransportError(label_ + ": peer closed");
+    }
+    tcp_->send_frame(std::move(frame));
+    tcp_sent_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<FrameBuffer> ShmTransport::recv_frame() {
     for (;;) {
-        RingRecv r = session_->ring_recv();
-        if (!r.frame.has_value()) {
-            // Down-and-drained keeps serving frames from the TCP wire;
-            // idle polls the control channel and peer liveness.
-            r = r.closed ? session_->tcp_recv_blocking()
-                         : session_->idle_poll();
+        std::optional<FrameBuffer> f;
+        switch (pop_or_wait(f)) {
+        case RxPoll::kFrame:
+            return f;
+        case RxPoll::kEnded:
+            // Down and drained: keep serving frames from the TCP wire.
+            if (!tcp_up_.load(std::memory_order_relaxed) ||
+                closed_.load(std::memory_order_relaxed)) {
+                return std::nullopt;
+            }
+            f = pump_tcp();
+            break;
+        case RxPoll::kIdle: {
+            // The rings waited a cycle with no data: poll the TCP channel
+            // for control or fallback traffic, and now and then check
+            // that the peer process still exists.
+            if (closed_.load(std::memory_order_acquire)) return std::nullopt;
+            pollfd p{tcp_fd_, POLLIN | POLLRDHUP, 0};
+            if (tcp_fd_ >= 0 && tcp_up_.load(std::memory_order_relaxed) &&
+                poll(&p, 1, 0) > 0) {
+                f = pump_tcp();
+            } else if (++liveness_tick_ % 8 == 0 && !peer_alive()) {
+                note_peer_dead();
+            }
+            break;
         }
-        if (r.frame.has_value()) {
-            frames_received_.fetch_add(1, std::memory_order_relaxed);
-            return std::move(r.frame);
         }
-        if (r.closed) return std::nullopt;
+        if (f.has_value()) return f;
     }
 }
 
-void ShmTransport::close() { session_->close_all(); }
+/// One bounded receive attempt: pop, spin, then at most one futex sleep
+/// cycle, so the caller can poll the control channel and peer liveness
+/// between cycles.
+ShmTransport::RxPoll
+ShmTransport::pop_or_wait(std::optional<FrameBuffer>& out) {
+    const RxPoll r = try_pop(out);
+    if (r != RxPoll::kIdle) return r;
+    for (std::size_t i = 0; i < kSpinBudget; ++i) {
+        if (rx_has_data()) {
+            spins_.fetch_add(i, std::memory_order_relaxed);
+            return try_pop(out);
+        }
+        cpu_relax();
+    }
+    spins_.fetch_add(kSpinBudget, std::memory_order_relaxed);
+    // All bands share one side-level data futex (the producing side's
+    // band-0 dir): the consumer registers once and whichever band's
+    // producer publishes next claims and wakes it. We are the only
+    // registrar and producers claim with exchange(0), so plain stores
+    // keep the flag in {0, 1}. Every other reason to wake (a close, a
+    // failover) stores its state and then advances this futex word, so
+    // only the data needs re-checking here.
+    SegDir& d = seg_.dir(1 - side_, 0);
+    d.data_waiters.store(1, std::memory_order_seq_cst);
+    const std::uint32_t seq = d.data_seq.load(std::memory_order_acquire);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!rx_has_data()) {
+        futex_wait_us(d.data_seq, seq, wait_cycle_us_);
+        futex_waits_.fetch_add(1, std::memory_order_relaxed);
+    }
+    d.data_waiters.store(0, std::memory_order_release);
+    return try_pop(out);
+}
+
+/// Non-blocking pop of our inbound rings, band 0 (most urgent) first.
+ShmTransport::RxPoll ShmTransport::try_pop(std::optional<FrameBuffer>& out) {
+    {
+        std::lock_guard lk(recv_mu_);
+        if (in_->frozen.load(std::memory_order_acquire) ||
+            closed_.load(std::memory_order_acquire)) {
+            return RxPoll::kEnded;
+        }
+        bool all_closed = true;
+        bool corrupt = false;
+        for (std::size_t b = 0; b < bands_ && !corrupt; ++b) {
+            ShmRingConsumer& ring = *in_->rings[b];
+            ShmRingConsumer::View view;
+            switch (ring.try_pop(view)) {
+            case ShmRingConsumer::Pop::kFrame:
+                out = deliver(b, view);
+                return RxPoll::kFrame;
+            case ShmRingConsumer::Pop::kCorrupt:
+                corrupt = true;
+                break;
+            case ShmRingConsumer::Pop::kEmpty:
+                if (!ring.closed()) all_closed = false;
+                break;
+            }
+        }
+        if (!corrupt) {
+            return all_closed || rx_peer_done_.load(std::memory_order_acquire)
+                       ? RxPoll::kEnded
+                       : RxPoll::kIdle;
+        }
+    }
+    // The peer published a ring entry we cannot trust: stop reading the
+    // ring. Abandon freezes the rx side (so no later pop reaches the bad
+    // entry) and moves the route onto TCP; it takes send_mu_, hence
+    // outside recv_mu_.
+    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    abandon_shm("peer protocol error");
+    return RxPoll::kEnded;
+}
+
+/// Hand out a popped frame. Zero-copy while the pin budget allows: the
+/// frame views the arena slot, its release hook retires the slot when it
+/// dies, and its keepalive holds the inbound rings and the mapping.
+/// Otherwise copy out into a pooled buffer and release at once.
+FrameBuffer ShmTransport::deliver(std::size_t band,
+                                  const ShmRingConsumer::View& view) {
+    const std::uint32_t token =
+        (static_cast<std::uint32_t>(band) << 24) | view.index;
+    FrameBuffer out;
+    if (in_->rings[band]->pinned() <= max_pinned_) {
+        out = FrameBuffer::borrow(
+            view.data, view.len,
+            [](void* in, std::uint32_t t) noexcept {
+                static_cast<Inbound*>(in)->release(t);
+            },
+            in_.get(), token, in_);
+        rx_[band].borrowed.fetch_add(1, std::memory_order_relaxed);
+        FrameBufferPool::global().note_borrowed();
+    } else {
+        out = FrameBufferPool::global().acquire(view.len);
+        std::memcpy(out.data(), view.data, view.len);
+        rx_[band].copies.fetch_add(1, std::memory_order_relaxed);
+        in_->release(token);
+    }
+    rx_[band].received.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::emit(obs::EventType::kFrameRecv, view.len,
+                              static_cast<std::uint32_t>(band));
+    return out;
+}
+
+bool ShmTransport::rx_has_data() const noexcept {
+    for (std::size_t b = 0; b < bands_; ++b) {
+        if (in_->rings[b]->has_data()) return true;
+    }
+    return false;
+}
+
+/// Read one TCP frame (blocking) and classify: shm control is handled
+/// here, data frames are returned.
+std::optional<FrameBuffer> ShmTransport::pump_tcp() {
+    std::optional<FrameBuffer> f;
+    try {
+        f = tcp_->recv_frame();
+    } catch (const TransportError&) {
+        f.reset();
+    }
+    if (!f.has_value()) {
+        // Peer's graceful close: its ring-closed flag (or death) ends the
+        // segment side; the next attempt lets the rings report it.
+        tcp_up_.store(false, std::memory_order_release);
+        return std::nullopt;
+    }
+    if (is_control_bye(*f)) {
+        handle_peer_bye();
+        return std::nullopt;
+    }
+    // After we froze our rx side with delivered-but-unretired slots
+    // outstanding, the peer's replay re-sends those frames (it can only
+    // see the frozen tail). Drop exactly the per-band skip counts recorded
+    // at the freeze; everything past them is new.
+    if (in_->frozen.load(std::memory_order_acquire)) {
+        auto& skip = rx_[band_of(f->data(), f->size())].skip_replay;
+        const std::uint32_t left = skip.load(std::memory_order_acquire);
+        if (left > 0) {
+            skip.store(left - 1, std::memory_order_release);
+            replay_skipped_.fetch_add(1, std::memory_order_relaxed);
+            return std::nullopt;
+        }
+    }
+    tcp_recv_.fetch_add(1, std::memory_order_relaxed);
+    return f;
+}
+
+/// Band selection mirrors LaneGroup: the GIOP flags octet names the band,
+/// clamped into the configured lane count. Short frames and single-band
+/// segments take band 0.
+std::size_t ShmTransport::band_of(const std::uint8_t* data,
+                                  std::size_t len) const noexcept {
+    if (bands_ == 1 || len < cdr::GiopHeader::kSize) return 0;
+    return LanePolicy::band_for_frame(data, bands_);
+}
+
+bool ShmTransport::peer_alive() const noexcept {
+    const SegHeader& h = seg_.header();
+    const int peer = 1 - side_;
+    if (h.attached[peer].load(std::memory_order_acquire) == 0) {
+        // Graceful detach (or not yet attached): not death. The ring
+        // closed flag / TCP EOF covers the graceful path.
+        return true;
+    }
+    return pid_alive(
+        static_cast<pid_t>(h.pid[peer].load(std::memory_order_acquire)));
+}
+
+// -- failover state machine ---------------------------------------------
+
+/// Stop our producers on every band (send_mu_ held). Dropping tx_up_
+/// first turns away new pushes; the space wake sends a sender parked in a
+/// wait back to re-check it, so it drops its band mutex. The returned
+/// locks hold every band mutex: no ring publish of ours lands while they
+/// are held, and none starts after.
+ShmTransport::BandLocks ShmTransport::stop_producers_locked() {
+    tx_up_.store(false, std::memory_order_release);
+    BandLocks locks;
+    for (std::size_t b = 0; b < bands_; ++b) {
+        futex_wake_all(tx_[b].ring.dir().space_seq);
+        locks[b] = std::unique_lock(tx_[b].mu);
+    }
+    return locks;
+}
+
+/// Stop popping and pin the rx tails where they are, recording per band
+/// how many delivered-but-unretired slots it holds: after a failover the
+/// peer's replay re-sends those, and pump_tcp skips exactly that many.
+/// Pinned borrowed frames stay valid: the frozen tails keep the peer's
+/// producer from ever reclaiming their arena bytes.
+void ShmTransport::freeze_rx() {
+    std::lock_guard rlk(recv_mu_);
+    std::lock_guard tlk(in_->retire_mu);
+    if (in_->frozen.exchange(true, std::memory_order_acq_rel)) return;
+    for (std::size_t b = 0; b < bands_; ++b) {
+        rx_[b].skip_replay.store(in_->rings[b]->pinned(),
+                                 std::memory_order_release);
+    }
+}
+
+void ShmTransport::abandon_shm(const char* reason) {
+    (void)reason;
+    std::lock_guard lk(send_mu_);
+    if (bye_sent_.exchange(true, std::memory_order_acq_rel)) return;
+    stop_producers_locked(); // returns once no publish is in flight
+    freeze_rx();
+    wake_own_receiver();
+    if (tcp_up_.load(std::memory_order_relaxed)) {
+        cdr::RequestHeader req;
+        req.request_id = 0;
+        req.response_expected = false;
+        req.object_key = kControlKey;
+        req.operation = "bye";
+        try {
+            tcp_->send_frame(cdr::encode_request(req, nullptr, 0));
+        } catch (const TransportError&) {
+            tcp_up_.store(false, std::memory_order_release);
+        }
+    }
+    failovers_.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::emit(obs::EventType::kShmFailover, 1, 0);
+}
+
+/// Inbound bye (recv thread): the peer froze its rx tails and switched to
+/// TCP. Stop our producers, replay exactly our unconsumed [tail, head)
+/// outbound frames over TCP — band 0 first, and ahead of any newer sends,
+/// which serialize behind send_mu_ — then treat the peer's production
+/// side as finished. A second bye would replay the same window again, so
+/// only the first counts.
+void ShmTransport::handle_peer_bye() {
+    std::lock_guard lk(send_mu_);
+    if (bye_received_.exchange(true, std::memory_order_acq_rel)) return;
+    {
+        BandLocks locks = stop_producers_locked();
+        for (std::size_t b = 0; b < bands_; ++b) {
+            replay_band_locked(tx_[b].ring);
+        }
+    }
+    end_peer_production(0);
+}
+
+/// Resend one band's unconsumed frames through the TCP wire's one writer.
+/// Descriptors come through the ring's checked read: a slot outside the
+/// arena is counted and dropped, never read. Pooled buffers are reserved
+/// a batch at a time, so a 400-frame resend costs a handful of pool-lock
+/// acquisitions.
+void ShmTransport::replay_band_locked(ShmRingProducer& ring) {
+    std::uint32_t t = ring.tail();
+    if (ring.head() - t > ring.geometry().capacity) {
+        // A tail the consumer could not have published: replay nothing
+        // rather than walk billions of slots.
+        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        t = ring.head();
+    }
+    constexpr std::size_t kReplayBatch = 32;
+    while (t != ring.head()) {
+        SegSlot slots[kReplayBatch];
+        std::size_t n = 0;
+        std::size_t max_len = 0;
+        for (; t != ring.head() && n < kReplayBatch; ++t) {
+            if (!ring.read(t, slots[n])) {
+                protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+                dropped_.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+            max_len = std::max<std::size_t>(max_len, slots[n].len);
+            ++n;
+        }
+        if (n == 0) continue;
+        FrameBuffer bufs[kReplayBatch];
+        if (tcp_up_.load(std::memory_order_relaxed)) {
+            FrameBufferPool::global().acquire_batch(max_len, bufs, n);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            if (!tcp_up_.load(std::memory_order_relaxed)) {
+                dropped_.fetch_add(1, std::memory_order_relaxed);
+                continue;
+            }
+            bufs[i].resize(slots[i].len);
+            std::memcpy(bufs[i].data(), ring.bytes(slots[i]), slots[i].len);
+            try {
+                tcp_->send_frame(std::move(bufs[i]));
+                resent_.fetch_add(1, std::memory_order_relaxed);
+            } catch (const TransportError&) {
+                tcp_up_.store(false, std::memory_order_release);
+                dropped_.fetch_add(1, std::memory_order_relaxed);
+            }
+        }
+    }
+}
+
+/// Peer died without a bye. Our unconsumed outbound frames are moot
+/// (their consumer is gone — counted, not resent); the peer's already
+/// published inbound frames stay deliverable until the rings drain, and
+/// already-pinned slots stay valid forever (a dead producer can never
+/// reclaim them).
+void ShmTransport::note_peer_dead() {
+    std::lock_guard lk(send_mu_);
+    if (peer_dead_.exchange(true, std::memory_order_acq_rel)) return;
+    {
+        BandLocks locks = stop_producers_locked();
+        for (std::size_t b = 0; b < bands_; ++b) {
+            dropped_.fetch_add(tx_[b].ring.head() - tx_[b].ring.tail(),
+                               std::memory_order_relaxed);
+        }
+    }
+    end_peer_production(2);
+}
+
+/// The peer produces nothing more (its bye, or its death): our receiver
+/// drains what it already published and then reports the rings ended.
+void ShmTransport::end_peer_production(std::uint32_t failover_kind) {
+    rx_peer_done_.store(true, std::memory_order_release);
+    wake_own_receiver();
+    failovers_.fetch_add(1, std::memory_order_relaxed);
+    obs::FlightRecorder::emit(obs::EventType::kShmFailover, failover_kind, 0);
+}
+
+/// Wake our own receiver (asleep on the peer side's band-0 data futex) so
+/// it re-checks state. Our senders were woken by stop_producers_locked.
+void ShmTransport::wake_own_receiver() {
+    futex_wake_all(seg_.dir(1 - side_, 0).data_seq);
+}
+
+void ShmTransport::close() {
+    if (closed_.exchange(true, std::memory_order_acq_rel)) return;
+    {
+        std::lock_guard lk(send_mu_);
+        BandLocks locks = stop_producers_locked();
+        for (std::size_t b = 0; b < bands_; ++b) {
+            tx_[b].ring.dir().closed.store(1, std::memory_order_release);
+        }
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        futex_wake_all(seg_.dir(side_, 0).data_seq); // peer's receiver
+    }
+    freeze_rx(); // no pop in flight past here
+    wake_own_receiver();
+    // The mapping itself stays alive while borrowed frames hold the
+    // inbound rings; detach only drops our attached flag so the peer and
+    // the orphan sweeper see us gone.
+    seg_.detach();
+    if (side_ == 0) seg_.unlink();
+    tcp_->close();
+}
 
 TransportStats ShmTransport::stats() const {
+    const ShmCounters c = counters();
     TransportStats s;
-    s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-    s.frames_received = frames_received_.load(std::memory_order_relaxed);
+    s.frames_sent = c.shm_frames_sent + c.tcp_frames_sent;
+    s.frames_received = c.shm_frames_received + c.tcp_frames_received;
     return s;
 }
 
-FrameBufferPool& ShmTransport::frame_pool() noexcept {
-    return session_->pool();
+bool ShmTransport::shm_active() const {
+    return tx_up_.load(std::memory_order_relaxed) &&
+           !in_->frozen.load(std::memory_order_relaxed) &&
+           !closed_.load(std::memory_order_relaxed);
 }
-ShmCounters ShmTransport::counters() const { return session_->counters(); }
-bool ShmTransport::shm_active() const { return session_->shm_active(); }
-std::size_t ShmTransport::bands() const { return session_->bands(); }
-const std::string& ShmTransport::segment_name() const {
-    return session_->segment_name();
-}
-std::uint64_t ShmTransport::generation() const {
-    return session_->generation();
-}
-void ShmTransport::abandon_shm(const char* reason) {
-    session_->abandon(reason);
+
+ShmCounters ShmTransport::counters() const {
+    ShmCounters c;
+    c.tcp_frames_sent = tcp_sent_.load(std::memory_order_relaxed);
+    c.tcp_frames_received = tcp_recv_.load(std::memory_order_relaxed);
+    c.wakeups = in_->space_wakeups.load(std::memory_order_relaxed);
+    c.futex_waits = futex_waits_.load(std::memory_order_relaxed);
+    c.spins = spins_.load(std::memory_order_relaxed);
+    c.failovers = failovers_.load(std::memory_order_relaxed);
+    c.resent_frames = resent_.load(std::memory_order_relaxed);
+    c.dropped_on_failover = dropped_.load(std::memory_order_relaxed);
+    c.replay_skipped = replay_skipped_.load(std::memory_order_relaxed);
+    c.peer_protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
+    c.bands = static_cast<std::uint32_t>(bands_);
+    for (std::size_t b = 0; b < bands_; ++b) {
+        const SegDir& dt = seg_.dir(side_, b);
+        const SegDir& dr = seg_.dir(1 - side_, b);
+        c.band_tx_depth[b] = dt.head.load(std::memory_order_relaxed) -
+                             dt.tail.load(std::memory_order_relaxed);
+        c.band_rx_depth[b] = dr.head.load(std::memory_order_relaxed) -
+                             dr.tail.load(std::memory_order_relaxed);
+        c.band_tx_stalls[b] = tx_[b].stalls.load(std::memory_order_relaxed);
+        c.band_tx_frames[b] = tx_[b].sent.load(std::memory_order_relaxed);
+        c.wakeups += tx_[b].wakeups.load(std::memory_order_relaxed);
+        c.band_rx_frames[b] = rx_[b].received.load(std::memory_order_relaxed);
+        c.shm_frames_sent += c.band_tx_frames[b];
+        c.shm_frames_received += c.band_rx_frames[b];
+        c.tx_depth += c.band_tx_depth[b];
+        c.rx_depth += c.band_rx_depth[b];
+        c.rx_pinned += in_->rings[b]->pinned();
+        c.rx_borrowed += rx_[b].borrowed.load(std::memory_order_relaxed);
+        c.rx_copies += rx_[b].copies.load(std::memory_order_relaxed);
+    }
+    c.rx_pin_stalls = c.rx_copies;
+    c.shm_active = shm_active();
+    return c;
 }
 
 // ---- handshake ------------------------------------------------------------
@@ -1413,11 +997,9 @@ ShmConnectResult shm_upgrade_connect(const std::string& host,
 
     if (ok && seg) {
         const std::string name = seg->name();
-        auto session = std::make_shared<ShmSession>(seg, std::move(tcp),
-                                                    shm_options);
         return ShmConnectResult{
-            std::make_unique<ShmTransport>(std::move(session),
-                                           "shm-client:" + name),
+            std::make_unique<ShmTransport>(std::move(seg), std::move(tcp),
+                                           shm_options, "shm-client:" + name),
             true, "segment " + name};
     }
     seg.reset(); // creator dtor unlinks the unused segment
@@ -1427,8 +1009,18 @@ ShmConnectResult shm_upgrade_connect(const std::string& host,
 
 ShmAcceptor::ShmAcceptor(std::uint16_t port, const ShmOptions& shm_options,
                          const TcpOptions& tcp_options)
-    : tcp_(port, tcp_options), shm_options_(shm_options) {
+    : tcp_(port, tcp_options), shm_options_(shm_options),
+      metrics_source_(obs::MetricsRegistry::global().add_source(
+          "net_shm_acceptor_" + std::to_string(tcp_.bound_port()),
+          [this] {
+              return std::vector<obs::SourceSample>{
+                  {"handshakes_refused", handshakes_refused()}};
+          })) {
     sweep_once_at_startup();
+}
+
+ShmAcceptor::~ShmAcceptor() {
+    obs::MetricsRegistry::global().remove_source(metrics_source_);
 }
 
 ShmConnectResult ShmAcceptor::accept() {
@@ -1508,14 +1100,10 @@ ShmConnectResult ShmAcceptor::accept() {
     }
     if (!seg) return ShmConnectResult{std::move(tcp), false, nack};
 
-    ShmOptions opts = shm_options_;
-    // Geometry lives in the segment header; only the local knobs (spin
-    // budget, wait cadence, pool) come from the acceptor's options.
     const std::string name = seg->name();
-    auto session = std::make_shared<ShmSession>(seg, std::move(tcp), opts);
     return ShmConnectResult{
-        std::make_unique<ShmTransport>(std::move(session),
-                                       "shm-server:" + name),
+        std::make_unique<ShmTransport>(std::move(seg), std::move(tcp),
+                                       shm_options_, "shm-server:" + name),
         true, "segment " + name};
 }
 

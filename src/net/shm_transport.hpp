@@ -1,66 +1,42 @@
 // Shared-memory zero-copy wire for co-located endpoints.
 //
-// Every route used to ride TCP through the kernel even when both ends
-// share a host — the dominant deployment in the paper's own co-located
-// evaluation. ShmTransport keeps the Transport pooled-frame contract but
-// moves the bytes through a POSIX shared-memory segment instead: per
-// priority band, a pair of fixed-capacity lock-free SPSC slot rings plus
-// one payload arena per direction, all inside one `shm_open` + `mmap`
-// mapping. A steady-path send is a bump-allocate in the band's arena,
-// one memcpy of the frame bytes, and a release-store publishing the slot
-// index — zero syscalls, zero kernel copies. The receive path is
-// zero-copy: recv hands out a borrowed FrameBuffer viewing the arena
-// slot in place, and the slot is retired only when that frame dies (see
-// "retire window" below). Receivers spin briefly, then sleep on a
-// (non-private) futex with the same only-if-waiters discipline FrameRing
-// uses for its condvars: a producer touches the futex word only when a
-// consumer has registered as waiting, so a busy pipeline never pays a
-// wake syscall.
+// ShmTransport keeps the Transport pooled-frame contract but moves the
+// bytes through one POSIX shared-memory segment instead of the kernel:
+// per priority band, one ring per direction (net/shm_ring.hpp: the SPSC
+// slot ring, its payload arena and the consumer's retire window). A
+// steady-path send is one memcpy into the arena and a release-store of
+// the head; a receive hands out a borrowed FrameBuffer viewing the arena
+// in place, retired when it dies, and falls back to a counted copy only
+// when the app pins more slots than its budget. Receivers spin briefly,
+// then sleep on a non-private futex that a producer touches only when a
+// consumer registered as waiting, so a busy pipeline pays no wake.
 //
-// Retire window: an SPSC ring tail must advance contiguously, but the
-// app can drop borrowed frames in any order (or hold one for a long
-// time). The consumer therefore tracks a per-slot released bitmap and
-// publishes the tail over the maximal released prefix; when the app pins
-// more slots than the configured budget, recv falls back to copying the
-// frame out (counted — shm_rx_copies stays 0 in a steady state that
-// drops frames promptly) so the producer is never wedged by a leak.
-//
-// Bands: one segment carries `bands` direction pairs, mirroring
-// LaneGroup's priority-banded lanes — the band in the GIOP flags octet
-// picks the ring, each band has its own arena and space futex (so a bulk
-// band blocked on backpressure never stalls an urgent send), the single
-// receive thread drains band 0 first, and per-band depth/stall counters
-// feed trace_report. Failover (oversize frame, abandon, peer death)
-// reroutes all bands onto the one TCP wire at once, keeping per-band
-// frame order.
+// Bands mirror LaneGroup's lanes: the GIOP flags octet picks the ring,
+// each band has its own arena and space futex (a bulk band blocked on
+// backpressure never stalls an urgent send), and the receiver drains
+// band 0 first.
 //
 // The zircon split (control channel / bulk shared segment) is the model:
-// a plain TCP connection stays open next to the segment and carries the
-// small control messages — the `compadres.shm` hello handshake that
-// exchanges segment name + generation, the `bye` that starts an orderly
-// failover — and doubles as the full fallback wire whenever shared
-// memory cannot be used (peer on another host, /dev/shm unavailable,
-// version or generation mismatch, oversize frame, peer death).
-//
-// Failover never loses or duplicates a frame. The abandoning side stops
-// consuming its inbound ring at a frozen tail and sends `bye`; the peer
-// reads the frozen tail, resends exactly the unconsumed [tail, head)
-// frames over TCP ahead of any newer traffic, and drains its own inbound
-// ring (the abandoner stopped producing before `bye`, and the TCP stream
-// orders `bye` ahead of all post-abandon frames). Peer *death* is
-// detected by pid liveness + attach generation: published frames still
-// in the survivor's inbound ring are delivered before the transport
-// reports closed.
-//
-// Segment layout, versioned header, and liveness words are in shm_detail
-// below so tests (and DESIGN.md §13) can reason about them directly.
+// a plain TCP connection stays open next to the segment, carries the
+// `compadres.shm` hello and the `bye` that starts a failover, and is the
+// whole wire whenever shared memory cannot be used (peer on another host,
+// no /dev/shm, version or generation mismatch, oversize frame, peer
+// death). Failover never loses or duplicates a frame: the abandoning side
+// freezes its inbound tails and sends `bye`; the peer resends exactly its
+// unconsumed [tail, head) frames over TCP ahead of newer traffic. A dead
+// peer (pid liveness) leaves its published frames deliverable until the
+// survivor's rings drain. The segment layout is in shm_detail below (see
+// DESIGN.md §13).
 #pragma once
 
+#include "net/shm_ring.hpp"
 #include "net/tcp.hpp"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -85,23 +61,16 @@ struct ShmOptions {
     /// GIOP flags-octet band picks the ring, clamped LaneGroup-style to
     /// bands-1.
     std::size_t bands = 1;
-    /// Consumer pause-spins before registering as a futex waiter. Kept
-    /// deliberately small: on a single-core host the producer cannot run
-    /// while the consumer spins, so a long spin only burns the quantum.
-    std::size_t spin_budget = 64;
     /// Futex sleep per wait cycle, µs. Doubles as the cadence at which a
     /// blocked receiver polls the TCP control channel and peer liveness.
     std::size_t wait_cycle_us = 10 * 1000;
     /// Pinned-slot backpressure budget. Inbound frames are handed out as
     /// borrowed views into the rx arena (zero-copy); this is the most rx
     /// slots (per band) the app may hold via undropped borrowed frames
-    /// before recv falls back
-    /// to copy-out (counted in shm_rx_copies / shm_rx_pin_stalls). 0
-    /// means ring_capacity / 2; always clamped to ring_capacity - 1.
+    /// before recv falls back to copy-out (counted in shm_rx_copies /
+    /// shm_rx_pin_stalls). 0 means ring_capacity / 2; always clamped to
+    /// ring_capacity - 1.
     std::size_t max_pinned_slots = 0;
-    /// Pool inbound frames are copied out into when the pin budget is
-    /// exhausted; nullptr = process global.
-    FrameBufferPool* pool = nullptr;
 };
 
 namespace shm_detail {
@@ -116,35 +85,6 @@ inline constexpr std::uint32_t kVersion = 2;
 inline constexpr std::size_t kMaxShmBands = 8;
 /// shm_open name prefix; in /dev/shm the leading '/' is stripped.
 inline constexpr const char* kNamePrefix = "/compadres.";
-
-/// One direction's control words, produced by exactly one side (SPSC).
-/// Cache-line aligned so the two directions never false-share.
-struct alignas(64) SegDir {
-    /// Slots published (monotone; slot index = head & (capacity-1)).
-    std::atomic<std::uint32_t> head;
-    /// Slots consumed (monotone; written by the consumer).
-    std::atomic<std::uint32_t> tail;
-    /// Arena bytes retired by the consumer (monotone, includes wrap
-    /// skips). The producer's free-space check is
-    /// arena_bytes - (arena_head - arena_tail).
-    std::atomic<std::uint64_t> arena_tail;
-    /// Producer closed this direction (graceful close); consumer drains
-    /// the remaining [tail, head) then treats the ring as ended.
-    std::atomic<std::uint32_t> closed;
-    /// Futex word + waiter count for "data available" (consumer sleeps,
-    /// producer wakes only when waiters != 0).
-    std::atomic<std::uint32_t> data_seq;
-    std::atomic<std::uint32_t> data_waiters;
-    /// Futex word + waiter count for "space available" (producer sleeps
-    /// on a full ring or arena, consumer wakes only when waiters != 0).
-    std::atomic<std::uint32_t> space_seq;
-    std::atomic<std::uint32_t> space_waiters;
-};
-
-struct SegSlot {
-    std::uint32_t offset; ///< payload start within the direction's arena
-    std::uint32_t len;    ///< payload bytes
-};
 
 /// Versioned segment header. Sides: 0 = creator (connector), 1 = attacher
 /// (acceptor). The header is followed by a SegDir array indexed
@@ -169,13 +109,6 @@ struct SegHeader {
     std::atomic<std::uint32_t> attached[2];
 };
 
-static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
-static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
-
-/// Frame payloads are 8-byte aligned in the arena.
-inline constexpr std::size_t align8(std::size_t n) noexcept {
-    return (n + 7u) & ~std::size_t{7};
-}
 /// SegDir is cache-line aligned; the dir array keeps that alignment.
 inline constexpr std::size_t align64(std::size_t n) noexcept {
     return (n + 63u) & ~std::size_t{63};
@@ -274,11 +207,11 @@ struct ShmCounters {
 
     // Zero-copy receive path.
     std::uint64_t rx_borrowed = 0;   ///< frames handed out as arena views
-    std::uint64_t rx_copies = 0;     ///< frames copied out instead (pin
-                                     ///< budget hit or borrowing disabled)
+    std::uint64_t rx_copies = 0;     ///< frames copied out instead
     std::uint64_t rx_pinned = 0;     ///< instantaneous undropped borrowed
                                      ///< slots (sum over bands)
-    std::uint64_t rx_pin_stalls = 0; ///< pops forced to copy by the budget
+    std::uint64_t rx_pin_stalls = 0; ///< pops forced to copy by the pin
+                                     ///< budget (every copy is one)
     std::uint64_t replay_skipped = 0; ///< replayed frames deduped after a
                                       ///< failover with delivered-but-
                                       ///< unretired slots outstanding
@@ -298,16 +231,37 @@ struct ShmCounters {
     std::uint64_t band_rx_frames[shm_detail::kMaxShmBands] = {};
 };
 
-class ShmSession;
-
 /// The shared-memory transport. Not constructed directly — use
 /// shm_upgrade_connect / ShmAcceptor, which run the handshake and fall
-/// back to plain TCP when the segment cannot be shared. A frame the ring
-/// refuses (oversize, failover, peer gone) rides the session's TCP wire;
-/// stats() counts frames over both paths.
+/// back to plain TCP when the segment cannot be shared. Per band it runs
+/// one ShmRingProducer over its outbound direction and one
+/// ShmRingConsumer over its inbound one; around them it owns the futex
+/// waits, the TCP control channel and fallback wire, and the failover
+/// state machine. A frame the ring refuses (oversize, failover, peer
+/// gone) rides the TCP wire; stats() counts frames over both paths.
+///
+/// Locking. Producers serialize per band (TxBand::mu), so a bulk band
+/// parked in a space wait never stalls an urgent send. send_mu_ guards
+/// the failover state machine (bye in either direction, peer death,
+/// close) and TCP fallback ordering; a state transition takes send_mu_
+/// first, then every band mutex in index order — never the reverse, so a
+/// producer holding its band mutex must not take send_mu_ (failure
+/// handling runs after the band mutex is dropped). recv_mu_ serializes
+/// pops against the rx freeze and is held only for the duration of a pop
+/// — never across a futex wait — so an abandoner freezing the rx tails
+/// cannot deadlock against a sleeping receiver. Inbound::retire_mu
+/// guards the retire windows (taken after recv_mu_ where both are
+/// needed, never before). recv_frame is single-consumer (one bridge
+/// reader thread), like every transport in this repo; send_frame is
+/// any-thread.
 class ShmTransport final : public Transport {
 public:
-    ShmTransport(std::shared_ptr<ShmSession> session, std::string label);
+    /// Run the wire over an attached segment and the TCP connection its
+    /// handshake used. Geometry comes from the segment header; only the
+    /// local knobs (wait cycle, pin budget) come from `options`.
+    ShmTransport(std::shared_ptr<ShmSegment> segment,
+                 std::unique_ptr<Transport> tcp, const ShmOptions& options,
+                 std::string label);
     ~ShmTransport() override;
 
     using Transport::send_frame; // keep the copying vector shim visible
@@ -316,24 +270,112 @@ public:
     void close() override;
     std::string peer_description() const override { return label_; }
     TransportStats stats() const override;
-    FrameBufferPool& frame_pool() noexcept override;
+    FrameBufferPool& frame_pool() noexcept override {
+        return FrameBufferPool::global();
+    }
 
     ShmCounters counters() const;
     bool shm_active() const;
-    const std::string& segment_name() const;
-    std::uint64_t generation() const;
-    std::size_t bands() const;
+    const std::string& segment_name() const { return seg_.name(); }
+    std::uint64_t generation() const { return seg_.generation(); }
+    std::size_t bands() const { return bands_; }
 
     /// Orderly reroute-to-TCP (the path peer death and oversize frames
     /// take), exposed so tests and the bench can trigger a mid-burst
-    /// failover deterministically. Safe to call at any time; idempotent.
+    /// failover deterministically. Freezes our rx tails, stops our
+    /// producers and tells the peer, which replays our unconsumed inbound
+    /// frames over TCP. Safe to call at any time; idempotent.
     void abandon_shm(const char* reason = "forced");
 
 private:
-    std::shared_ptr<ShmSession> session_;
-    std::string label_;
-    std::atomic<std::uint64_t> frames_sent_{0};
-    std::atomic<std::uint64_t> frames_received_{0};
+    /// What a borrowed frame keeps alive until it dies: the inbound rings
+    /// with their retire windows, the frozen flag, and the segment
+    /// mapping. Everything else (the TCP wire included) dies with the
+    /// transport.
+    struct Inbound;
+
+    /// Cache-line aligned: a sender locks its band on every frame, and no
+    /// receiver-side word may share that line.
+    struct alignas(64) TxBand {
+        std::mutex mu;
+        ShmRingProducer ring;
+        std::atomic<std::uint64_t> sent{0};
+        std::atomic<std::uint64_t> stalls{0};
+        std::atomic<std::uint64_t> wakeups{0}; ///< data wakes it claimed
+    };
+    struct RxBand {
+        std::atomic<std::uint64_t> received{0};
+        std::atomic<std::uint64_t> borrowed{0};
+        std::atomic<std::uint64_t> copies{0}; ///< each forced by the pin budget
+        std::atomic<std::uint32_t> skip_replay{0};
+    };
+    /// One bounded receive attempt on the rings: a frame, nothing yet, or
+    /// rings down and drained (keep serving the TCP wire).
+    enum class RxPoll { kFrame, kIdle, kEnded };
+    enum class Space { kOk, kDown, kPeerDead };
+    using BandLocks =
+        std::array<std::unique_lock<std::mutex>, shm_detail::kMaxShmBands>;
+
+    bool ring_send(FrameBuffer& frame);
+    Space wait_tx_space_locked(TxBand& tx);
+    void wake_receiver(std::size_t len, std::size_t band);
+    void fallback_send(FrameBuffer frame);
+    RxPoll pop_or_wait(std::optional<FrameBuffer>& out);
+    RxPoll try_pop(std::optional<FrameBuffer>& out);
+    FrameBuffer deliver(std::size_t band, const ShmRingConsumer::View& view);
+    bool rx_has_data() const noexcept;
+    std::optional<FrameBuffer> pump_tcp();
+    std::size_t band_of(const std::uint8_t* data,
+                        std::size_t len) const noexcept;
+    bool peer_alive() const noexcept;
+
+    BandLocks stop_producers_locked();
+    void freeze_rx();
+    void handle_peer_bye();
+    void replay_band_locked(ShmRingProducer& ring);
+    void note_peer_dead();
+    void end_peer_production(std::uint32_t failover_kind);
+    void wake_own_receiver();
+
+    std::shared_ptr<Inbound> in_;
+    ShmSegment& seg_; ///< owned through in_
+    std::unique_ptr<Transport> tcp_;
+    const std::string label_;
+    const int side_;
+    const std::size_t bands_;
+    const std::size_t max_frame_;
+    const std::size_t wait_cycle_us_;
+    std::uint32_t max_pinned_ = 1;
+    int tcp_fd_ = -1;
+
+    std::atomic<bool> tx_up_{true};
+    std::atomic<bool> rx_peer_done_{false};
+    std::atomic<bool> bye_received_{false};
+    std::atomic<bool> bye_sent_{false};
+    std::atomic<bool> peer_dead_{false};
+    std::atomic<bool> closed_{false};
+    std::atomic<bool> tcp_up_{true};
+
+    std::atomic<std::uint64_t> protocol_errors_{0};
+    std::atomic<std::uint64_t> tcp_sent_{0};
+    std::atomic<std::uint64_t> tcp_recv_{0};
+    std::atomic<std::uint64_t> failovers_{0};
+    std::atomic<std::uint64_t> resent_{0};
+    std::atomic<std::uint64_t> dropped_{0};
+    std::atomic<std::uint64_t> replay_skipped_{0};
+
+    std::mutex send_mu_; ///< failover state machine + TCP send ordering
+
+    // Written per frame by the senders (a band per line), then by the
+    // receiver: neither shares a line with the flags both sides read.
+    std::array<TxBand, shm_detail::kMaxShmBands> tx_;
+    alignas(64) std::mutex recv_mu_; ///< pop vs rx-freeze (never held
+                                     ///< across a wait)
+    std::array<RxBand, shm_detail::kMaxShmBands> rx_;
+    std::uint64_t liveness_tick_ = 0; ///< recv-thread-only
+    std::atomic<std::uint64_t> spins_{0};
+    /// Receiver data waits, plus the senders' rarer space waits.
+    std::atomic<std::uint64_t> futex_waits_{0};
 };
 
 /// Outcome of a connect/accept that tried the shm upgrade. `transport`
@@ -363,8 +405,11 @@ ShmConnectResult shm_upgrade_connect(const std::string& host,
 /// validation failure nacks with a reason and yields the plain TCP wire.
 class ShmAcceptor {
 public:
+    /// Registers handshakes_refused() on obs::MetricsRegistry::global()
+    /// as net_shm_acceptor_<port>_handshakes_refused until destroyed.
     explicit ShmAcceptor(std::uint16_t port, const ShmOptions& shm_options = {},
                          const TcpOptions& tcp_options = {});
+    ~ShmAcceptor();
 
     std::uint16_t bound_port() const noexcept { return tcp_.bound_port(); }
 
@@ -385,6 +430,7 @@ private:
     TcpAcceptor tcp_;
     ShmOptions shm_options_;
     std::atomic<std::uint64_t> refused_{0};
+    std::uint64_t metrics_source_;
 };
 
 /// Unlink /dev/shm/compadres.* segments whose recorded pids are all gone

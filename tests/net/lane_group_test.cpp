@@ -5,8 +5,10 @@
 #include "net/lane_group.hpp"
 #include "net/reactor.hpp"
 #include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -183,7 +185,93 @@ TEST(LaneGroup, StrayConnectionDoesNotPoisonTheAcceptor) {
     ASSERT_NE(server, nullptr);
     EXPECT_EQ(server->group_id(), client->group_id());
     EXPECT_EQ(acceptor.handshakes_refused(), 1u);
+    EXPECT_NE(obs::MetricsRegistry::global().prometheus_text().find(
+                  "net_lane_acceptor_" +
+                  std::to_string(acceptor.bound_port()) +
+                  "_handshakes_refused 1\n"),
+              std::string::npos);
     stray->close();
+    client->close();
+    server->close();
+}
+
+namespace {
+
+/// Lane 0 of a two-lane group that never sends its lane 1.
+std::unique_ptr<net::Transport> open_half_group(std::uint16_t port,
+                                                std::uint64_t group_id) {
+    cdr::OutputStream payload;
+    payload.write_ulonglong(group_id);
+    payload.write_ulong(0); // lane index
+    payload.write_ulong(2); // lane count
+    cdr::RequestHeader req;
+    req.response_expected = false;
+    req.object_key = "compadres.lane";
+    req.operation = "hello";
+    const std::vector<std::uint8_t> body = payload.take_buffer();
+    auto wire = net::tcp_connect("127.0.0.1", port);
+    wire->send_frame(cdr::encode_request(req, body.data(), body.size()));
+    return wire;
+}
+
+/// The peer closed `wire` within `timeout` (it reads EOF).
+bool closed_by_peer(net::Transport& wire, std::chrono::milliseconds timeout) {
+    pollfd p{wire.reactor_hook()->descriptor(), POLLIN | POLLRDHUP, 0};
+    if (poll(&p, 1, static_cast<int>(timeout.count())) <= 0) return false;
+    return !wire.recv_frame().has_value();
+}
+
+} // namespace
+
+// A peer that opens lane groups and never completes them must not pin the
+// acceptor's descriptors: past the pending cap the oldest half-assembled
+// group is dropped, its connection closed and counted as refused, and a
+// complete group is still accepted.
+TEST(LaneGroup, HalfAssembledGroupsAreCappedOldestFirst) {
+    constexpr std::size_t kPendingCap = 64; // LaneAcceptor's pending cap
+    net::LaneAcceptor acceptor(0);
+    const std::uint16_t port = acceptor.bound_port();
+    std::unique_ptr<net::LaneGroup> server;
+    std::atomic<bool> accepted{false};
+    std::thread accept_thread([&] {
+        server = acceptor.accept();
+        accepted = true;
+    });
+
+    std::vector<std::unique_ptr<net::Transport>> halves;
+    for (std::size_t i = 0; i <= kPendingCap; ++i) {
+        halves.push_back(open_half_group(port, 0xfeed0000u + i));
+    }
+    const bool oldest_closed =
+        closed_by_peer(*halves.front(), std::chrono::seconds(10));
+    const bool next_closed =
+        closed_by_peer(*halves[1], std::chrono::milliseconds(0));
+    const std::uint64_t refused = acceptor.handshakes_refused();
+    const bool exported =
+        obs::MetricsRegistry::global().prometheus_text().find(
+            "net_lane_acceptor_" + std::to_string(port) +
+            "_handshakes_refused 1\n") != std::string::npos;
+
+    // A two-lane group: its lane 0 holds a pending slot until lane 1
+    // arrives, which pushes out the next-oldest half group.
+    auto client = net::lane_connect("127.0.0.1", port);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!accepted && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    acceptor.close(); // unblocks accept() if the group never assembled
+    accept_thread.join();
+
+    EXPECT_TRUE(oldest_closed) << "the oldest half group kept its socket";
+    EXPECT_FALSE(next_closed) << "dropped more than the oldest group";
+    EXPECT_EQ(refused, 1u);
+    EXPECT_TRUE(exported) << "refusal missing from the metrics registry";
+    EXPECT_TRUE(closed_by_peer(*halves[1], std::chrono::seconds(10)));
+    EXPECT_FALSE(closed_by_peer(*halves[2], std::chrono::milliseconds(0)));
+    EXPECT_EQ(acceptor.handshakes_refused(), 2u);
+    ASSERT_NE(server, nullptr);
+    EXPECT_EQ(server->group_id(), client->group_id());
     client->close();
     server->close();
 }

@@ -3,6 +3,7 @@
 #include "cdr/giop.hpp"
 #include "net/shm_transport.hpp"
 #include "net/tcp.hpp"
+#include "obs/metrics.hpp"
 #include "remote/remote_plan.hpp"
 
 #include <gtest/gtest.h>
@@ -261,6 +262,11 @@ TEST(ShmHandshake, NacksSegmentNameOutsideThePrefixBeforeOpeningIt) {
         EXPECT_FALSE(reply.ok);
         EXPECT_FALSE(server.shm);
         EXPECT_EQ(acceptor.handshakes_refused(), 1u);
+        EXPECT_NE(obs::MetricsRegistry::global().prometheus_text().find(
+                      "net_shm_acceptor_" +
+                      std::to_string(acceptor.bound_port()) +
+                      "_handshakes_refused 1\n"),
+                  std::string::npos);
         EXPECT_NE(server.detail.find("hello names a segment outside"),
                   std::string::npos)
             << server.detail;
@@ -695,8 +701,8 @@ TEST(ShmZeroCopy, ProducerStallsBehindPinnedSlotThenResumes) {
 }
 
 // Releases happen on whatever thread drops the frame; here a dedicated
-// releaser races retire_band against the popper. The assertions are loose —
-// the value of this test is the TSan run in CI.
+// releaser races the ring retire against the popper. The assertions are
+// loose — the value of this test is the TSan run in CI.
 TEST(ShmZeroCopy, CrossThreadReleaseRacesPop) {
     NegotiatedPair pair = negotiate({});
     ASSERT_TRUE(pair.client_shm);
